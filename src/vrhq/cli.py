@@ -29,7 +29,7 @@ EXIT_CAP = 4
 _USAGE_ERRORS = (OddCount, DuplicateVertex, IsolatedVertex, DegenerateScale,
                  TruncationTooShallow, DimensionOutOfRange, ValueError)
 _INGEST_ERRORS = (ParseError, OSError)
-_CAP_ERRORS = (TooLarge, DimensionTooLarge)
+_CAP_ERRORS = (TooLarge, DimensionTooLarge, MemoryError)
 
 
 def _parse_duration(text: str) -> float:
@@ -55,16 +55,6 @@ def _parse_labels(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad vertex list {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _resolve_cap(flag_value, env_name, default):
     if flag_value is not None:
         return flag_value
@@ -81,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="json",
                         help="output encoding (default json)")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="reserved for parallel kernels; current kernels are "
-                             "sequential and results do not depend on it")
 
     p = argparse.ArgumentParser(
         prog="vrhq",
@@ -209,14 +196,11 @@ def _cmd_gamma_t(args):
         value = domination.gamma_t_exhaustive(g)
         return {"graph": info, "mode": "exhaustive", "lower": value,
                 "upper": value, "exact": value, "status": "exact",
-                "bounds_only": False, "time_limit_hit": False,
                 "witness": None, "nodes": None}
     res = domination.exact_gamma_t(g, time_limit=args.time_limit)
     return {"graph": info, "mode": "branch_and_bound",
             "lower": res.lower, "upper": res.upper, "exact": res.exact,
-            "status": res.status, "bounds_only": res.status == "bounds_only",
-            "time_limit_hit": res.time_limit_hit,
-            "witness": sorted(res.witness), "nodes": res.nodes}
+            "status": res.status, "witness": sorted(res.witness), "nodes": res.nodes}
 
 
 def _cmd_complex(args):

@@ -87,7 +87,6 @@ class DominationResult:
     witness: frozenset[int]
     status: str
     exact: int | None = None
-    time_limit_hit: bool = False
     nodes: int = 0
     elapsed_s: float = 0.0
 
@@ -109,8 +108,9 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     cannot beat the incumbent.  On vertex-transitive inputs every optimum can
     be XOR-translated to contain vertex 0, so the root fixes it.
 
-    With no time limit the result is exact; on expiry the incumbent and the
-    best proven lower bound are returned with status "bounds_only".
+    With no time limit the result is exact.  The deadline is checked at every
+    search node; on expiry the result has status "bounds_only", with the
+    incumbent as `upper` and the trivial bound ceil(m / Delta) as `lower`.
     """
     _require_no_isolated(g)
     start = time.monotonic()
@@ -132,7 +132,7 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
         nodes += 1
         if timed_out:
             return
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             return
         if dominated == full:
@@ -187,8 +187,7 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     witness = frozenset(iter_bits(best_mask))
     if timed_out:
         return DominationResult(lower=lower, upper=best_size, witness=witness,
-                                status="bounds_only", time_limit_hit=True,
-                                nodes=nodes, elapsed_s=elapsed)
+                                status="bounds_only", nodes=nodes, elapsed_s=elapsed)
     return DominationResult(lower=best_size, upper=best_size, witness=witness,
                             status="exact", exact=best_size,
                             nodes=nodes, elapsed_s=elapsed)

@@ -72,24 +72,8 @@ def _operator(k, p):
     return _augmentation_matrix(k) if p == 0 else boundary_matrix(k, p)
 
 
-def gf2_rank(columns) -> int:
-    """Rank of a GF(2) matrix given as bit-packed columns."""
-    pivots = {}
-    rank = 0
-    for col in columns:
-        cur = col
-        while cur:
-            lead = cur.bit_length() - 1
-            if lead in pivots:
-                cur ^= pivots[lead]
-            else:
-                pivots[lead] = cur
-                rank += 1
-                break
-    return rank
-
-
 def _gf2_pivots(columns) -> dict[int, int]:
+    """Column echelon form over GF(2): reduced columns keyed by leading row."""
     pivots = {}
     for col in columns:
         cur = col
@@ -103,13 +87,9 @@ def _gf2_pivots(columns) -> dict[int, int]:
     return pivots
 
 
-def _gf2_reduce(vec, pivots) -> int:
-    while vec:
-        lead = vec.bit_length() - 1
-        if lead not in pivots:
-            return vec
-        vec ^= pivots[lead]
-    return 0
+def gf2_rank(columns) -> int:
+    """Rank of a GF(2) matrix given as bit-packed columns."""
+    return len(_gf2_pivots(columns))
 
 
 @dataclass(frozen=True)
@@ -144,16 +124,20 @@ def _check_truncation(k, up_to):
             f"complex was built to dimension {k.max_dim_requested}")
 
 
-def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
-    """Reduced GF(2) Betti numbers beta~_0..beta~_up_to.
+def _reduced_betti(k, ranks) -> tuple[int, ...]:
+    """beta~_i = dim ker d_i - rank d_{i+1}, with d_0 the augmentation map.
 
-    beta~_i = dim ker d_i - rank d_{i+1}, with d_0 the augmentation map.
+    `ranks` holds rank d_0..rank d_{up_to+1}, giving beta~_0..beta~_up_to.
     """
-    _check_truncation(k, up_to)
     f = k.f_vector()
+    return tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
+
+
+def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
+    """Reduced GF(2) Betti numbers beta~_0..beta~_up_to."""
+    _check_truncation(k, up_to)
     ranks = [gf2_rank(_operator(k, p).gf2_columns()) for p in range(up_to + 2)]
-    betti = tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1))
-    return BettiProfile(betti, "gf2", up_to)
+    return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 
 def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
@@ -250,11 +234,9 @@ def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2"
     if coefficients == "gf2":
         return betti_gf2(k, up_to)
     _check_truncation(k, up_to)
-    f = k.f_vector()
     snfs = [smith_normal_form(_operator(k, p).dense_rows(), cap=snf_cap)
             for p in range(up_to + 2)]
-    ranks = [len(s) for s in snfs]
-    betti = tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1))
+    betti = _reduced_betti(k, [len(s) for s in snfs])
     torsion = tuple(tuple(d for d in snfs[i + 1] if d > 1) for i in range(up_to + 1))
     return BettiProfile(betti, "z", up_to, torsion=torsion)
 
@@ -285,5 +267,6 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
         rest ^= low
     if bd:
         raise ValueError("the chain is not a cycle")
+    # vec bounds iff reducing it against the pivots of d_{p+1} adds no pivot
     pivots = _gf2_pivots(boundary_matrix(k, p + 1).gf2_columns())
-    return _gf2_reduce(vec, pivots) == 0
+    return len(_gf2_pivots([*pivots.values(), vec])) == len(pivots)

@@ -64,11 +64,11 @@ def _rows_counterexamples(result):
 
 def _rows_gamma_t(result):
     headers = ["kind", "m", "max_degree", "mode", "lower", "upper", "exact",
-               "status", "bounds_only", "witness"]
+               "status", "witness"]
     gr = result["graph"]
     return headers, [[gr["kind"], gr["m"], gr["max_degree"], result["mode"],
                       result["lower"], result["upper"], result["exact"],
-                      result["status"], result["bounds_only"], result["witness"]]]
+                      result["status"], result["witness"]]]
 
 
 def _rows_complex(result):

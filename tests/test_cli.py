@@ -130,7 +130,7 @@ class TestGammaT:
         validate_envelope(env)
         res = env["result"]
         assert res["exact"] == 8 and res["status"] == "exact"
-        assert res["bounds_only"] is False
+        assert "bounds_only" not in res and "time_limit_hit" not in res
         assert res["graph"]["kind"] == "hamming_complement"
 
     def test_exhaustive_mode(self, capsys):
@@ -154,8 +154,18 @@ class TestGammaT:
         assert code == 0
         validate_envelope(env)
         res = env["result"]
-        assert res["bounds_only"] is True and res["status"] == "bounds_only"
+        assert res["status"] == "bounds_only"
         assert res["exact"] is None and res["lower"] <= res["upper"]
+
+    def test_memory_error_exits_4(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli.hypercube, "build_hamming_graph", exhausted)
+        code, env = run_json(capsys, "gamma-t", "--n", "17", "--r", "9")
+        assert code == 4
+        assert env["result"] is None
+        assert env["status"]["code"] == "memory_error"
+        validate_envelope(env)
 
     def test_missing_file_exits_3(self, capsys):
         code, env = run_json(capsys, "gamma-t", "--dimacs", "/does/not/exist")
@@ -317,7 +327,7 @@ class TestFlagErrors:
         ["witness", "--n", "2", "--r", "1", "--vertices", "0,a"],
         ["homology", "--n", "2", "--r", "1", "--up-to", "1", "--coefficients", "gf3"],
         ["bound", "--n", "7", "--r", "5", "--format", "yaml"],
-        ["bound", "--n", "7", "--r", "5", "--threads", "0"],
+        ["bound", "--n", "7", "--r", "5", "--threads", "1"],
         [],
     ])
     def test_exit_2(self, capsys, argv):

@@ -142,12 +142,15 @@ class TestExactGammaT:
 
     def test_timeout_reports_bounds(self):
         g = hc.build_hamming_graph(8, 6, complemented=True)  # 256 vertices, deep search
-        res = dom.exact_gamma_t(g, time_limit=0.05)
-        assert res.status == "bounds_only" and res.time_limit_hit
-        assert res.exact is None
-        assert res.lower == dom.trivial_lower_bound(g)
-        assert res.lower <= res.upper == len(res.witness)
-        assert dom.is_total_dominating(g, res.witness)
+        for limit in (0.05, 0):
+            res = dom.exact_gamma_t(g, time_limit=limit)
+            assert res.status == "bounds_only"
+            assert res.exact is None
+            assert res.lower == dom.trivial_lower_bound(g)
+            assert res.lower <= res.upper == len(res.witness)
+            assert dom.is_total_dominating(g, res.witness)
+        # an expired deadline stops the search at its first node
+        assert res.nodes <= 1
 
     def test_gc64_value_regression(self, gc64, gc64_exact):
         # frozen output of this solver on the 64-vertex scale-4 complement;
