@@ -278,13 +278,13 @@ def main(argv=None) -> int:
     try:
         result = _HANDLERS[args.command](args)
     except _CAP_ERRORS as exc:
-        status = {"code": _snake(exc), "message": str(exc)}
+        status = _status(exc, args.command)
         code = EXIT_CAP
     except _INGEST_ERRORS as exc:
-        status = {"code": _snake(exc), "message": str(exc)}
+        status = _status(exc, args.command)
         code = EXIT_INGEST
     except _USAGE_ERRORS as exc:
-        status = {"code": _snake(exc), "message": str(exc)}
+        status = _status(exc, args.command)
         code = EXIT_USAGE
 
     envelope = make_envelope(args.command, _params_of(args), result,
@@ -292,6 +292,13 @@ def main(argv=None) -> int:
                              round(time.monotonic() - t0, 6), status)
     print(encode(envelope, args.format), end="")
     return code
+
+
+def _status(exc, command) -> dict:
+    """The envelope status of a failed run.  An exception that carries no
+    message, such as a bare MemoryError, gets one naming the subcommand."""
+    message = str(exc) or f"{command} failed with {type(exc).__name__}"
+    return {"code": _snake(exc), "message": message}
 
 
 def _snake(exc) -> str:

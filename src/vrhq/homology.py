@@ -3,8 +3,11 @@
 The default detector works over GF(2): boundary matrices become bit-packed
 integer columns and ranks come from Gaussian elimination, which is orders of
 magnitude faster than integer reduction.  An exact integer pipeline via
-Smith normal form is available for free ranks and torsion on size-capped
-matrices.
+Smith normal form gives free ranks and torsion: +-1 pivots are eliminated
+sparsely first, and only the residual core, usually empty for boundary
+matrices, goes through dense integer reduction.  Its size cap bounds the
+rows and columns of each boundary matrix and is checked against the
+f-vector before any matrix is built.
 
 Reduced homology uses the augmentation map as the dimension-0 boundary, so
 beta~_0 = components - 1 falls out of the same code path as every other
@@ -15,6 +18,7 @@ the complex was built to is TruncationTooShallow, never a silent zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .complexes import SimplicialComplex
 from .errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
@@ -140,21 +144,72 @@ def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 
-def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    Exact unbounded-integer reduction with smallest-pivot selection; the
-    divisibility chain is enforced before each pivot is finalized.  Matrices
-    larger than cap x cap raise TooLarge.
-    """
-    rows = [list(map(int, row)) for row in matrix]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if any(len(row) != nc for row in rows):
-        raise ValueError("matrix rows must have equal length")
+def _check_snf_cap(nr: int, nc: int, cap: int) -> None:
     if nr > cap or nc > cap:
         raise TooLarge(f"matrix exceeds the SNF cap of {cap}x{cap}")
 
+
+def _unit_eliminate(rows: list[dict[int, int]], nc: int) -> int:
+    """Eliminate +-1 pivots in place; returns how many were eliminated.
+
+    `rows` are sparse rows {column: nonzero value}.  Passes go over the
+    columns in order; in each column the shortest row with a +-1 entry
+    there is the pivot, row operations clear the column elsewhere, and the
+    pivot row and column are dropped (column operations would clear the
+    rest of the pivot row without touching any other row).  Passes repeat
+    until one finds no unit pivot.  What is left in `rows` is the residual
+    core.
+    """
+    cols = [set() for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    live = [j for j in range(nc) if cols[j]]
+    units = 0
+    found = True
+    while found:
+        found = False
+        kept = []
+        for j in live:
+            col = cols[j]
+            pivot = None
+            for i in col:
+                if rows[i][j] in (1, -1) and (pivot is None or len(rows[i]) < best):
+                    pivot, best = i, len(rows[i])
+            if pivot is None:
+                kept.append(j)
+                continue
+            prow = rows[pivot]
+            unit = prow[j]
+            for i in [i for i in col if i != pivot]:
+                row = rows[i]
+                f = row[j] * unit
+                for c, a in prow.items():
+                    b = row.get(c, 0) - f * a
+                    if b:
+                        if c not in row:
+                            cols[c].add(i)
+                        row[c] = b
+                    else:
+                        del row[c]
+                        cols[c].discard(i)
+            for c in prow:
+                cols[c].discard(pivot)
+            rows[pivot] = {}
+            units += 1
+            found = True
+        live = [j for j in kept if cols[j]]
+    return units
+
+
+def _dense_snf(rows: list[list[int]]) -> tuple[int, ...]:
+    """Nonzero invariant factors of a dense matrix, reduced in place.
+
+    Exact unbounded-integer reduction with smallest-pivot selection; the
+    divisibility chain is enforced before each pivot is finalized.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
     factors = []
     t = 0
     while t < min(nr, nc):
@@ -222,18 +277,50 @@ def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Two exact stages.  Stage 1 eliminates +-1 pivots on a sparse copy of
+    the matrix (`_unit_eliminate`); each pivot is a unimodular row and
+    column operation that splits off a 1x1 block, diag(1, M'), and
+    D_k(diag(1, M')) = D_{k-1}(M'), so every such pivot contributes an
+    invariant factor 1.  Stage 2 runs dense unbounded-integer reduction with
+    smallest-pivot selection on the residual core M' only (`_dense_snf`);
+    for boundary matrices of flag complexes the core is usually empty.
+    Matrices with more than cap rows or columns raise TooLarge.
+    """
+    rows = list(matrix)
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if any(len(row) != nc for row in rows):
+        raise ValueError("matrix rows must have equal length")
+    _check_snf_cap(nr, nc, cap)
+    sparse = [{j: a for j, v in compress(enumerate(row), row) if (a := int(v))}
+              for row in rows]
+    units = _unit_eliminate(sparse, nc)
+    core_rows = [row for row in sparse if row]
+    core_cols = sorted({j for row in core_rows for j in row})
+    core = [[row.get(j, 0) for j in core_cols] for row in core_rows]
+    return (1,) * units + _dense_snf(core)
+
+
 def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2",
                      snf_cap: int = DEFAULT_SNF_CAP) -> BettiProfile:
     """Reduced homology beta~_0..beta~_up_to over GF(2) or the integers.
 
     The integer pipeline reports free ranks plus the invariant factors > 1
-    per degree; ranks come from the same Smith normal forms.
+    per degree; ranks come from the same Smith normal forms.  Every
+    operator's shape is checked against snf_cap (TooLarge) before any
+    boundary matrix is built.
     """
     if coefficients not in ("gf2", "z"):
         raise ValueError("coefficients must be 'gf2' or 'z'")
     if coefficients == "gf2":
         return betti_gf2(k, up_to)
     _check_truncation(k, up_to)
+    f = k.f_vector()
+    for p in range(up_to + 2):
+        _check_snf_cap(f[p - 1] if p else min(f[0], 1), f[p], snf_cap)
     snfs = [smith_normal_form(_operator(k, p).dense_rows(), cap=snf_cap)
             for p in range(up_to + 2)]
     betti = _reduced_betti(k, [len(s) for s in snfs])

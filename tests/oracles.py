@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's production code paths:
 binomials come from a Pascal triangle, complexes from raw subset enumeration,
-GF(2) ranks from dense numpy elimination, and the connectivity bound from
-fractions.Fraction.  Oracle results are frozen into the tests; the oracles
+GF(2) ranks from dense numpy elimination, integer invariant factors from gcds
+of Bareiss minors, and the connectivity bound from fractions.Fraction.  Oracle results are frozen into the tests; the oracles
 stay around so the freezing can be audited and re-run.
 """
 
@@ -93,6 +93,43 @@ def brute_reduced_betti(n: int, r: int, up_to: int) -> tuple[int, ...]:
     f = [len(b) for b in by_dim]
     ranks = [dense_gf2_rank(dense_boundary(by_dim, p)) for p in range(up_to + 2)]
     return tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(up_to + 1))
+
+
+def bareiss_det(matrix) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination; every division is exact."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def determinantal_divisors(matrix) -> tuple[int, ...]:
+    """D_1, D_2, ..., D_rank of an integer matrix, D_k the gcd of all k x k
+    minors.  The invariant factors are D_k / D_{k-1} with D_0 = 1."""
+    n_rows = len(matrix)
+    n_cols = len(matrix[0]) if n_rows else 0
+    out = []
+    for k in range(1, min(n_rows, n_cols) + 1):
+        g = 0
+        for rows in itertools.combinations(range(n_rows), k):
+            for cols in itertools.combinations(range(n_cols), k):
+                g = math.gcd(g, bareiss_det([[matrix[i][j] for j in cols] for i in rows]))
+        if g == 0:
+            break
+        out.append(g)
+    return tuple(out)
 
 
 def brute_pattern_sets(n: int, r: int) -> list[tuple[int, ...]]:

@@ -165,6 +165,7 @@ class TestGammaT:
         assert code == 4
         assert env["result"] is None
         assert env["status"]["code"] == "memory_error"
+        assert env["status"]["message"] == "gamma-t failed with MemoryError"
         validate_envelope(env)
 
     def test_missing_file_exits_3(self, capsys):

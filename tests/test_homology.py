@@ -1,14 +1,44 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrhq import complexes as cx, homology as ho
 from vrhq.errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
-from tests.oracles import brute_reduced_betti
+from tests.oracles import brute_reduced_betti, determinantal_divisors
 
 RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                  (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
+
+def oracle_factors(matrix):
+    divisors = determinantal_divisors(matrix)
+    return tuple(d // prev for prev, d in zip((1,) + divisors, divisors))
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4x5, entries in [-3, 3], with some rows and columns zeroed."""
+    nr = draw(st.integers(1, 4))
+    nc = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=nc, max_size=nc)
+    matrix = draw(st.lists(entries, min_size=nr, max_size=nr))
+    zero_rows = draw(st.sets(st.integers(0, nr - 1)))
+    zero_cols = draw(st.sets(st.integers(0, nc - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else a for j, a in enumerate(row)]
+            for i, row in enumerate(matrix)]
+
+
+def assert_uct(zprof, gprof):
+    # gf2 rank = integer free rank + 2-torsion counts in dims i and i-1
+    for i in range(zprof.truncation_dim + 1):
+        two_here = sum(1 for d in zprof.torsion[i] if d % 2 == 0)
+        two_below = 0
+        if i > 0:
+            two_below = sum(1 for d in zprof.torsion[i - 1] if d % 2 == 0)
+        assert gprof.reduced_betti[i] == zprof.reduced_betti[i] + two_here + two_below
 
 
 def projective_plane():
@@ -100,7 +130,21 @@ class TestBettiGf2:
 
 
 class TestSmithNormalForm:
+    @pytest.fixture
+    def core_shapes(self, monkeypatch):
+        """Shapes of the residual cores handed to the dense stage."""
+        shapes = []
+        dense = ho._dense_snf
+
+        def spy(rows):
+            shapes.append((len(rows), len(rows[0]) if rows else 0))
+            return dense(rows)
+
+        monkeypatch.setattr(ho, "_dense_snf", spy)
+        return shapes
+
     def test_trivial_cases(self):
+        assert ho.smith_normal_form([]) == ()
         assert ho.smith_normal_form([[0, 0], [0, 0]]) == ()
         assert ho.smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
 
@@ -122,6 +166,35 @@ class TestSmithNormalForm:
         factors = ho.smith_normal_form(ho.boundary_matrix(k, 2).dense_rows())
         assert factors[-1] == 2 and all(d == 1 for d in factors[:-1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices())
+    def test_matches_determinantal_divisors(self, matrix):
+        expected = oracle_factors(matrix)
+        assert ho.smith_normal_form(matrix) == expected
+        assert ho.smith_normal_form([list(col) for col in zip(*matrix)]) == expected
+
+    @pytest.mark.parametrize("matrix, factors, core", [
+        ([[2, 0], [0, 2]], (2, 2), (2, 2)),
+        ([[2, 4], [6, 8]], (2, 4), (2, 2)),
+        # one unit pivot, then the core [[3]]
+        ([[1, 2], [1, 5]], (1, 3), (1, 1)),
+        # U . diag(1, 1, 3, 6) . V with unimodular U, V: two units, core with 3 and 6
+        ([[1, 2, 0, 3], [1, 3, 1, 3], [0, 1, 4, 6], [2, 4, 3, 18]], (1, 1, 3, 6), (2, 2)),
+        # column 0 gets its unit only from the pivot in column 1: a second pass
+        ([[2, 1], [3, 1]], (1, 1), (0, 0)),
+        # no unit entry at all: the core is the whole matrix
+        ([[2, 0], [0, 3]], (1, 6), (2, 2)),
+    ])
+    def test_residual_core_reaches_dense_stage(self, core_shapes, matrix, factors, core):
+        assert ho.smith_normal_form(matrix) == factors == oracle_factors(matrix)
+        assert core_shapes == [core]
+
+    def test_flag_complex_boundaries_leave_no_core(self, core_shapes):
+        k = cx.vietoris_rips(4, 2, 4)
+        for p in range(1, 5):
+            ho.smith_normal_form(ho.boundary_matrix(k, p).dense_rows())
+        assert core_shapes == [(0, 0)] * 4
+
 
 class TestReducedHomology:
     def test_circle_over_z(self):
@@ -140,18 +213,42 @@ class TestReducedHomology:
         assert all(t == () for t in prof.torsion)
 
     def test_coefficient_coherence(self):
-        # gf2 rank = integer free rank + 2-torsion counts in dims i and i-1
         for k in [projective_plane(), cx.vietoris_rips(2, 1, 2),
                   cx.vietoris_rips(3, 2, 4)]:
             top = k.max_dim_requested - 1
-            zprof = ho.reduced_homology(k, top, "z")
-            gprof = ho.betti_gf2(k, top)
-            for i in range(top + 1):
-                two_here = sum(1 for d in zprof.torsion[i] if d % 2 == 0)
-                two_below = 0
-                if i > 0:
-                    two_below = sum(1 for d in zprof.torsion[i - 1] if d % 2 == 0)
-                assert gprof.reduced_betti[i] == zprof.reduced_betti[i] + two_here + two_below
+            assert_uct(ho.reduced_homology(k, top, "z"), ho.betti_gf2(k, top))
+
+    @pytest.mark.parametrize("n, r, up_to, betti", [
+        (4, 2, 3, (0, 0, 0, 9)),
+        (5, 2, 3, (0, 0, 0, 49)),
+        # 1792 x 1792 boundary matrices in degrees 4 and 5
+        (4, 3, 5, (0, 0, 0, 0, 0, 0)),
+    ])
+    def test_z_matches_gf2_at_scale(self, n, r, up_to, betti):
+        k = cx.vietoris_rips(n, r, up_to + 1)
+        zprof = ho.reduced_homology(k, up_to, "z")
+        assert zprof.reduced_betti == betti
+        assert zprof.torsion == ((),) * (up_to + 1)
+        assert_uct(zprof, ho.betti_gf2(k, up_to))
+
+    def test_snf_cap_checked_before_any_matrix(self, monkeypatch):
+        # d_3 of VR(Q_5;3) is 2560 x 9280; d_0..d_2 fit the default cap
+        k = cx.vietoris_rips(5, 3, 5)
+        calls = []
+
+        def counted(name):
+            original = getattr(ho, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("smith_normal_form", "boundary_matrix"):
+            monkeypatch.setattr(ho, name, counted(name))
+        with pytest.raises(TooLarge):
+            ho.reduced_homology(k, 4, "z")
+        assert calls == []
 
     def test_bad_coefficients(self):
         with pytest.raises(ValueError):
