@@ -184,9 +184,15 @@ def cross_polytope_witness_check(n: int, r: int, vertices) -> WitnessReport:
 
     recovered = tuple(sorted(far_pairs)) if is_boundary else ()
 
-    vset = verts
-    dominating = bool(vset) and all(
-        any(hamming_distance(u, s) > r for s in vset) for u in range(1 << n))
+    # every u in Q_n needs some s at distance > r; an empty list fails at u = 0
+    dominating = True
+    for u in range(1 << n):
+        for s in verts:
+            if (u ^ s).bit_count() > r:
+                break
+        else:
+            dominating = False
+            break
 
     return WitnessReport(
         is_matching_complement=is_matching,

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's production code paths:
 binomials come from a Pascal triangle, complexes from raw subset enumeration,
 GF(2) ranks from dense numpy elimination, integer invariant factors from gcds
 of Bareiss minors, and the connectivity bound from fractions.Fraction.  Oracle results are frozen into the tests; the oracles
-stay around so the freezing can be audited and re-run.
+stay around so the freezing can be audited and re-run.  The domination
+references are frozen copies of the solver's earlier, simpler form, kept so
+that faster rewrites can be required to search the same tree.
 """
 
 from __future__ import annotations
@@ -176,3 +178,95 @@ def random_isolated_free_graphs(count: int, max_m: int, seed: int):
             continue
         graphs.append((m, edges))
     return graphs
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def eager_greedy(rows) -> frozenset[int]:
+    """The greedy total dominating set by a full rescan per pick: most newly
+    dominated vertices first, lowest index on ties, then the repair phase
+    (an unsupported pick gets its highest-degree neighbor)."""
+    m = len(rows)
+    full = (1 << m) - 1
+    chosen = dominated = 0
+    while dominated != full:
+        undom = full ^ dominated
+        best_v, best_cov = -1, 0
+        for v in range(m):
+            if (chosen >> v) & 1:
+                continue
+            cov = (rows[v] & undom).bit_count()
+            if cov > best_cov:
+                best_v, best_cov = v, cov
+        chosen |= 1 << best_v
+        dominated |= rows[best_v]
+    while True:
+        unsupported = [v for v in _bits(chosen) if not rows[v] & chosen]
+        if not unsupported:
+            break
+        v = unsupported[0]
+        w = max(_bits(rows[v]), key=lambda u: (rows[u].bit_count(), -u))
+        chosen |= 1 << w
+    return frozenset(_bits(chosen))
+
+
+def reference_gamma_t(rows, transitive=False):
+    """(gamma_t, witness, nodes) from the plain branch-and-bound that every
+    later solver node must reproduce on a connected graph: fail-first
+    branching, candidates by decreasing residual coverage, pruning on the
+    sorted residual coverages, vertex 0 fixed on vertex-transitive input."""
+    m = len(rows)
+    full = (1 << m) - 1
+    incumbent = eager_greedy(rows)
+    best = [len(incumbent), sum(1 << v for v in incumbent)]
+    lower = -(-m // max(row.bit_count() for row in rows))
+    nodes = 0
+
+    def dfs(size, chosen, dominated, selectable):
+        nonlocal nodes
+        nodes += 1
+        if dominated == full:
+            if size < best[0]:
+                best[:] = [size, chosen]
+            return
+        undom = full ^ dominated
+        branch_cands, branch_count = 0, m + 1
+        for u in _bits(undom):
+            cands = rows[u] & selectable
+            c = cands.bit_count()
+            if c == 0:
+                return
+            if c < branch_count:
+                branch_count, branch_cands = c, cands
+                if c == 1:
+                    break
+        need = undom.bit_count()
+        coverages = sorted(((rows[v] & undom).bit_count() for v in _bits(selectable)),
+                           reverse=True)
+        acc = extra = 0
+        for cov in coverages:
+            if acc >= need:
+                break
+            acc += cov
+            extra += 1
+        if acc < need or size + extra >= best[0]:
+            return
+        order = sorted(_bits(branch_cands), key=lambda v: (-(rows[v] & undom).bit_count(), v))
+        sel = selectable
+        for v in order:
+            sel &= ~(1 << v)
+            dfs(size + 1, chosen | (1 << v), dominated | rows[v], sel)
+
+    if best[0] > lower:
+        if transitive:
+            dfs(1, 1, rows[0], full ^ 1)
+        else:
+            dfs(0, 0, 0, full)
+    return best[0], frozenset(_bits(best[1])), nodes

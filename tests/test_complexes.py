@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrhq import complexes as cx, hypercube as hc
 from vrhq.errors import DuplicateVertex, OddCount, ParseError, TooLarge
@@ -138,6 +140,19 @@ class TestWitnessCheck:
         view = [any(hc.hamming_distance(u, s) > 1 for s in (0, 3))
                 for u in range(8)]
         assert rep.is_total_dominating_in_complement == all(view)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_domination_verdict_matches_distance_predicate(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        r = data.draw(st.integers(min_value=0, max_value=n))
+        verts = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                                   max_size=8, unique=True))
+        verts = verts[:len(verts) // 2 * 2]
+        rep = cx.cross_polytope_witness_check(n, r, verts)
+        want = bool(verts) and all(any(hc.hamming_distance(u, s) > r for s in verts)
+                                   for u in range(1 << n))
+        assert rep.is_total_dominating_in_complement == want
 
     def test_errors(self):
         with pytest.raises(OddCount):

@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrhq import bounds, domination as dom, hypercube as hc
 from vrhq.errors import IsolatedVertex, TooLarge
 
-from tests.oracles import random_isolated_free_graphs
+from tests.oracles import eager_greedy, random_isolated_free_graphs, reference_gamma_t
 
 
 def figure_graph():
@@ -18,6 +21,40 @@ def four_cycle():
 
 def complete_graph(m):
     return hc.Graph.from_edges(m, itertools.combinations(range(m), 2))
+
+
+def relabelled(g, seed):
+    perm = list(range(g.m))
+    random.Random(seed).shuffle(perm)
+    return hc.Graph.from_edges(g.m, [(perm[u], perm[v]) for u in range(g.m)
+                                     for v in g.neighbors(u) if u < v])
+
+
+def disjoint_union(*graphs):
+    rows, offset = [], 0
+    for g in graphs:
+        rows += [row << offset for row in g.rows()]
+        offset += g.m
+    return hc.Graph(rows)
+
+
+def is_connected(g):
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(range(g.m))
+    h.add_edges_from((u, v) for u in range(g.m) for v in g.neighbors(u))
+    return nx.is_connected(h)
+
+
+@st.composite
+def isolated_free_graphs(draw, max_m=14):
+    """Random graphs; a vertex left isolated is joined to its successor."""
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=3 * m)))
+    touched = {v for e in edges for v in e}
+    edges.update((v, (v + 1) % m) for v in range(m) if v not in touched)
+    return hc.Graph.from_edges(m, edges)
 
 
 import functools
@@ -83,6 +120,18 @@ class TestBounds:
     def test_greedy_always_valid(self):
         for g in small_corpus()[:80]:
             assert dom.is_total_dominating(g, dom.greedy_upper_bound(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(isolated_free_graphs())
+    def test_lazy_greedy_equals_eager_scan(self, g):
+        assert dom.greedy_upper_bound(g) == eager_greedy(g.rows())
+
+    def test_lazy_greedy_equals_eager_scan_on_hamming_ties(self):
+        # vertex-transitive inputs tie on every coverage at the first pick
+        for n in range(1, 9):
+            for r in range(n):
+                g = hc.build_hamming_graph(n, r, complemented=True)
+                assert dom.greedy_upper_bound(g) == eager_greedy(g.rows()), (n, r)
 
     def test_isolated_rejected(self):
         g = hc.Graph.from_edges(2, [])
@@ -151,6 +200,55 @@ class TestExactGammaT:
             assert dom.is_total_dominating(g, res.witness)
         # an expired deadline stops the search at its first node
         assert res.nodes <= 1
+
+    def test_same_tree_as_frozen_reference(self, gc64, gc64_exact):
+        # on connected input the solver must visit exactly the nodes of the
+        # frozen reference and return its witness
+        cases = [(g, False) for g in small_corpus() if is_connected(g)]
+        cases += [(hc.build_hamming_graph(n, r, complemented=True), True)
+                  for n in range(1, 6) for r in range(n - 1)]
+        cases += [(hc.build_hamming_graph(6, r, complemented=True), True) for r in range(4)]
+        cases.append((relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3), False))
+        for g, transitive in cases:
+            assert g.vertex_transitive == transitive
+            res = dom.exact_gamma_t(g)
+            assert (res.exact, res.witness, res.nodes) == reference_gamma_t(g.rows(), transitive)
+        value, witness, nodes = reference_gamma_t(gc64.rows(), True)
+        assert (gc64_exact.exact, gc64_exact.witness, gc64_exact.nodes) == (value, witness, nodes)
+
+    def test_components_are_solved_apart(self):
+        gc53 = hc.build_hamming_graph(5, 3, complemented=True)
+        one = dom.exact_gamma_t(hc.Graph(gc53.rows()))  # unflagged: no root fixing
+        two = disjoint_union(gc53, gc53)
+        res = dom.exact_gamma_t(two)
+        assert res.status == "exact" and res.exact == 2 * one.exact == 14
+        assert res.nodes == 2 * one.nodes  # 308,565 nodes as one search
+        assert len(res.witness) == 14 and dom.is_total_dominating(two, res.witness)
+        # labels map back to the union: seven witness vertices in each copy
+        assert len([v for v in res.witness if v < 32]) == 7
+
+    def test_flagged_components_fix_their_own_root(self):
+        # the Hamming flag only marks vertex-transitivity, which the union of
+        # two copies of a vertex-transitive graph keeps
+        gc53 = hc.build_hamming_graph(5, 3, complemented=True)
+        one = dom.exact_gamma_t(gc53)
+        two = hc.Graph(disjoint_union(gc53, gc53).rows(), hamming=gc53.hamming)
+        res = dom.exact_gamma_t(two)
+        assert res.exact == 14 and res.nodes == 2 * one.nodes == 2 * 157
+        assert dom.is_total_dominating(two, res.witness)
+
+    def test_bounds_only_on_disconnected_graph(self):
+        gc86 = hc.build_hamming_graph(8, 6, complemented=True)  # deep search
+        gc42 = hc.build_hamming_graph(4, 2, complemented=True)  # greedy meets its bound
+        g = disjoint_union(gc86, gc42)
+        res = dom.exact_gamma_t(g, time_limit=0)
+        assert res.status == "bounds_only" and res.exact is None
+        assert res.nodes == 1
+        # per component: ceil(256 / 9) for the cut-off search, exact 4 for the other
+        assert dom.exact_gamma_t(gc42).exact == 4
+        assert res.lower == dom.trivial_lower_bound(gc86) + 4 == 33
+        assert dom.trivial_lower_bound(g) <= res.lower <= res.upper == len(res.witness)
+        assert dom.is_total_dominating(g, res.witness)
 
     def test_gc64_value_regression(self, gc64, gc64_exact):
         # frozen output of this solver on the 64-vertex scale-4 complement;
