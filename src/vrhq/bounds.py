@@ -8,7 +8,13 @@ is the ratio
 whose denominator is the degree of every vertex of the distance->=r+1 graph
 on Q_n.  The complex VR(Q_n; r) is guaranteed (k-1)-connected where k is the
 largest integer strictly below alpha (k = alpha - 1 when alpha is an
-integer, floor(alpha) otherwise).
+integer, floor(alpha) otherwise), that is c = ceil(alpha) - 2.
+
+A single pair costs one binomial tail sum.  Whole grids (`grid_table`,
+`counterexample_scan`, `consistency_check_2r`) share one generator that, for
+each n, walks r downwards and keeps a running tail updated by the binomial
+ratio C(n, r) = C(n, r+1) * (r+1) / (n-r): one small-factor update and one
+divmod per pair, O(n^2) big-integer operations over a grid up to n.
 """
 
 from __future__ import annotations
@@ -120,8 +126,21 @@ def connectivity_lower_bound(n: int, r: int) -> ConnectivityBound:
     if r >= n:
         return ConnectivityBound.contractible()
     a = alpha(n, r)
-    k = a.floor - 1 if a.is_integer else a.floor
-    return ConnectivityBound.lower_bound(k - 1)
+    c = _rounded_connectivity(a.numerator, a.denominator)
+    return ConnectivityBound.lower_bound(c)
+
+
+def _rounded_connectivity(half_order: int, tail: int) -> int:
+    """c = ceil(alpha) - 2 for alpha = half_order / tail = 2^(n-1) / tail_degree.
+
+    Meshulam (Domination numbers and homology, JCTA 2003): the independence
+    complex Ind(G) is (ceil(gamma_t(G) / 2) - 2)-connected.  VR(Q_n; r) is
+    Ind(Gc_{n,r}), and the sphere-covering count gives gamma_t(Gc_{n,r}) >=
+    2^n / tail = 2 alpha, so gamma_t >= ceil(2 alpha) and the complex is
+    (ceil(ceil(2 alpha) / 2) - 2) = (ceil(alpha) - 2)-connected.  This is
+    k - 1 for k the largest integer strictly below alpha."""
+    q, rem = divmod(half_order, tail)
+    return q + (rem != 0) - 2
 
 
 # Published example values for (n, r, connectivity).  Exact evaluation
@@ -165,16 +184,34 @@ def published_value(n: int, r: int) -> int | None:
     return None
 
 
+def _grid(n_lo: int, n_max: int, r_max: int | None = None):
+    """Yield (n, r, c) for n_lo <= n <= n_max and 0 <= r <= min(r_max, n - 1),
+    ascending in n, then in r; c is the bound of connectivity_lower_bound.
+
+    For each n the tail is accumulated from r = n - 1 down to 0, with the
+    binomial advanced by its ratio rather than recomputed by math.comb."""
+    for n in range(n_lo, n_max + 1):
+        top = n - 1 if r_max is None else min(r_max, n - 1)
+        half_order = 1 << (n - 1)
+        tail = 0
+        b = 1  # C(n, r + 1), starting from C(n, n)
+        down = []
+        for r in range(n - 1, -1, -1):
+            tail += b
+            if r <= top:
+                down.append(_rounded_connectivity(half_order, tail))
+            b = b * (r + 1) // (n - r)
+        for r, c in enumerate(reversed(down)):
+            yield n, r, c
+
+
 def grid_table(n_max: int, r_max: int | None = None) -> list[TableRow]:
     """Bounds for every pair 1 <= n <= n_max, 0 <= r <= min(r_max, n - 1)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        top = n - 1 if r_max is None else min(r_max, n - 1)
-        for r in range(0, top + 1):
-            rows.append(TableRow(n, r, connectivity_lower_bound(n, r).connectivity))
-    return rows
+    if r_max is not None and r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    return [TableRow(n, r, c) for n, r, c in _grid(1, n_max, r_max)]
 
 
 def counterexample_scan(n_max: int) -> list[tuple[int, int, int]]:
@@ -184,13 +221,8 @@ def counterexample_scan(n_max: int) -> list[tuple[int, int, int]]:
     the complex cannot be concentrated exactly in dimension r + 1."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    found = []
-    for n in range(2, n_max + 1):
-        for r in range(0, n - 1):
-            c = connectivity_lower_bound(n, r).connectivity
-            if c >= r + 1:
-                found.append((n, r, c))
-    return found
+    return [(n, r, c) for n, r, c in _grid(2, n_max)
+            if r <= n - 2 and c >= r + 1]
 
 
 def consistency_check_2r(n_max: int) -> list[tuple[int, int, int]]:
@@ -201,13 +233,8 @@ def consistency_check_2r(n_max: int) -> list[tuple[int, int, int]]:
     to be empty."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    violations = []
-    for n in range(3, n_max + 1):
-        for r in range(1, n - 1):
-            c = connectivity_lower_bound(n, r).connectivity
-            if c > (1 << r) - 2:
-                violations.append((n, r, c))
-    return violations
+    return [(n, r, c) for n, r, c in _grid(3, n_max)
+            if 1 <= r <= n - 2 and c > (1 << r) - 2]
 
 
 def _validate_pair(n, r):

@@ -157,6 +157,8 @@ def _cmd_bound(args):
 
 def _cmd_table(args):
     if args.paper:
+        if args.n_max is not None or args.r_max is not None:
+            raise ValueError("--paper excludes --n-max/--r-max")
         rows = bounds.reference_table()
     else:
         if args.n_max is None:

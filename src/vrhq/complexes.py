@@ -12,8 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DuplicateVertex, OddCount, ParseError, TooLarge
-from .hypercube import Graph, build_hamming_graph, hamming_distance
+from .errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
+                     TooLarge)
+from .hypercube import (MATERIALIZE_CEILING, Graph, build_hamming_graph,
+                        hamming_distance)
 
 DEFAULT_MAX_SIMPLICES = 10 ** 8
 WITNESS_ENUMERATION_CEILING = 4
@@ -157,13 +159,18 @@ def cross_polytope_witness_check(n: int, r: int, vertices) -> WitnessReport:
     one partner at distance >= r + 1 within the list, all other pairs lying
     at distance <= r.  The total-domination bit is computed separately by
     scanning all of Q_n against the distance predicate; the report never
-    assumes the pattern implies domination.
+    assumes the pattern implies domination.  That scan costs 2^n * |S|, so n
+    above the materialization ceiling raises DimensionTooLarge up front.
     """
     verts = list(vertices)
     if len(set(verts)) != len(verts):
         raise DuplicateVertex("witness vertices must be distinct")
     if len(verts) % 2:
         raise OddCount("witness needs an even number of vertices")
+    if n > MATERIALIZE_CEILING:
+        raise DimensionTooLarge(
+            f"n = {n} exceeds the ceiling {MATERIALIZE_CEILING} for the "
+            "2^n-vertex domination scan")
     for v in verts:
         if not 0 <= v < (1 << n):
             raise ValueError(f"label {v} out of range for dimension {n}")

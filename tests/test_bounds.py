@@ -177,6 +177,13 @@ class TestReferenceTable:
         assert (row.n, row.r, row.connectivity) == (1, 0, -1)
         assert row.printed is None and row.agrees is None
 
+    def test_grid_table_validation(self):
+        with pytest.raises(ValueError):
+            bounds.grid_table(0)
+        with pytest.raises(ValueError):
+            bounds.grid_table(3, -1)
+        assert len(bounds.grid_table(3, 0)) == 3
+
 
 class TestCounterexampleScan:
     def test_examples(self):
@@ -204,6 +211,7 @@ class TestConsistencyCheck:
     def test_no_violations(self):
         assert bounds.consistency_check_2r(8) == []
         assert bounds.consistency_check_2r(20) == []
+        assert bounds.consistency_check_2r(200) == []
 
     def test_single_pair(self):
         c = bounds.connectivity_lower_bound(7, 5).connectivity
@@ -212,3 +220,67 @@ class TestConsistencyCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             bounds.consistency_check_2r(1)
+
+
+GRID_N = 120
+
+
+@pytest.fixture(scope="module")
+def per_pair():
+    """connectivity_lower_bound on every pair n <= GRID_N, r <= n - 1."""
+    return {(n, r): bounds.connectivity_lower_bound(n, r).connectivity
+            for n in range(1, GRID_N + 1) for r in range(n)}
+
+
+class TestGrid:
+    """The running-tail generator behind the grid scans, against the
+    single-pair bound and the per-pair loops the scans used to run."""
+
+    def test_matches_connectivity_lower_bound(self, per_pair):
+        got = list(bounds._grid(1, GRID_N))
+        assert [(n, r) for n, r, _ in got] == sorted(per_pair)
+        assert {(n, r): c for n, r, c in got} == per_pair
+
+    def test_matches_fraction_oracle(self):
+        for n, r, c in bounds._grid(1, 40):
+            assert c == bound_oracle(n, r)
+
+    @pytest.mark.parametrize("r_max", [None, 0, 7, GRID_N - 1, 500])
+    def test_grid_table_matches_per_pair_loop(self, per_pair, r_max):
+        want = []
+        for n in range(1, GRID_N + 1):
+            top = n - 1 if r_max is None else min(r_max, n - 1)
+            for r in range(0, top + 1):
+                want.append(bounds.TableRow(n, r, per_pair[n, r]))
+        assert bounds.grid_table(GRID_N, r_max) == want
+
+    def test_counterexample_scan_matches_per_pair_loop(self, per_pair):
+        want = []
+        for n in range(2, GRID_N + 1):
+            for r in range(0, n - 1):
+                if per_pair[n, r] >= r + 1:
+                    want.append((n, r, per_pair[n, r]))
+        assert bounds.counterexample_scan(GRID_N) == want
+
+    def test_consistency_check_matches_per_pair_loop(self, per_pair):
+        want = []
+        for n in range(3, GRID_N + 1):
+            for r in range(1, n - 1):
+                if per_pair[n, r] > (1 << r) - 2:
+                    want.append((n, r, per_pair[n, r]))
+        assert bounds.consistency_check_2r(GRID_N) == want
+
+    def test_scans_make_no_per_pair_calls(self, monkeypatch):
+        calls = []
+        for name in ("tail_degree", "connectivity_lower_bound"):
+            def spy(*args, _name=name, _original=getattr(bounds, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(bounds, name, spy)
+        bounds.grid_table(100)
+        bounds.counterexample_scan(100)
+        bounds.consistency_check_2r(100)
+        assert calls == []
+        # the spies do see the single-pair path
+        bounds.connectivity_lower_bound(7, 5)
+        assert calls == ["connectivity_lower_bound", "tail_degree"]

@@ -318,6 +318,14 @@ class TestWitnessCommand:
         assert code == 2
         assert env["status"]["code"] == "duplicate_vertex"
 
+    def test_over_ceiling_exits_4_before_scanning(self, capsys):
+        # the scan would visit 2^40 vertices; the cap answers at once
+        code, env = run_json(capsys, "witness", "--n", "40", "--r", "5",
+                             "--vertices", "0,1099511627775")
+        assert code == 4
+        assert env["result"] is None
+        assert env["status"]["code"] == "dimension_too_large"
+
 
 class TestFlagErrors:
     @pytest.mark.parametrize("argv", [
@@ -329,6 +337,9 @@ class TestFlagErrors:
         ["homology", "--n", "2", "--r", "1", "--up-to", "1", "--coefficients", "gf3"],
         ["bound", "--n", "7", "--r", "5", "--format", "yaml"],
         ["bound", "--n", "7", "--r", "5", "--threads", "1"],
+        ["table", "--paper", "--n-max", "3"],
+        ["table", "--paper", "--r-max", "3"],
+        ["table", "--n-max", "3", "--r-max", "-1"],
         [],
     ])
     def test_exit_2(self, capsys, argv):
@@ -381,9 +392,10 @@ class TestMalformedInputFuzz:
     import hypothesis.strategies as st
 
     token = st.one_of(
-        st.sampled_from(["bound", "table", "gamma-t", "--n", "--r", "--n-max",
-                         "--format", "json", "--paper", "--vertices", "-3",
-                         "0", "7", "x", "--time-limit", "5s", "--up-to"]),
+        st.sampled_from(["bound", "table", "gamma-t", "witness", "--n", "--r",
+                         "--n-max", "--format", "json", "--paper", "--vertices",
+                         "-3", "0", "7", "40", "x", "--time-limit", "5s",
+                         "--up-to"]),
         st.text(alphabet="abc-07,", min_size=0, max_size=6))
 
     @hypothesis.settings(max_examples=150, deadline=None)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrhq import complexes as cx, hypercube as hc
-from vrhq.errors import DuplicateVertex, OddCount, ParseError, TooLarge
+from vrhq.errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
+                         TooLarge)
 
 from tests.oracles import brute_pattern_sets, brute_rips_by_dim
 
@@ -161,6 +162,8 @@ class TestWitnessCheck:
             cx.cross_polytope_witness_check(2, 1, [0, 0, 1, 2])
         with pytest.raises(ValueError):
             cx.cross_polytope_witness_check(2, 1, [0, 1, 2, 4])
+        with pytest.raises(DimensionTooLarge):
+            cx.cross_polytope_witness_check(hc.MATERIALIZE_CEILING + 1, 1, [0, 1])
 
 
 class TestPatternEnumeration:
