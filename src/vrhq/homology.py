@@ -2,7 +2,11 @@
 
 The default detector works over GF(2): boundary matrices become bit-packed
 integer columns and ranks come from Gaussian elimination, which is orders of
-magnitude faster than integer reduction.  An exact integer pipeline via
+magnitude faster than integer reduction.  Every degree below the top is
+cleared before it is packed (Chen-Kerber 2011): a column of d_p that is the
+largest row of some column of d_{p+1} is dropped, because dd = 0 makes it
+the GF(2) sum of columns with smaller indices.  The top degree has no
+cofaces built and is reduced in full.  An exact integer pipeline via
 Smith normal form gives free ranks and torsion: +-1 pivots are eliminated
 sparsely first, and only the residual core, usually empty for boundary
 matrices, goes through dense integer reduction.  Its size cap bounds the
@@ -18,7 +22,7 @@ the complex was built to is TruncationTooShallow, never a silent zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 
 from .complexes import SimplicialComplex
 from .errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
@@ -30,46 +34,52 @@ DEFAULT_SNF_CAP = 5000
 class BoundaryMatrix:
     """The boundary operator from p-chains to (p-1)-chains.
 
-    Stored sparsely: one (row, sign) list per column, rows indexed by the
-    canonical order of (p-1)-simplices.  Signs alternate with the position of
-    the omitted vertex.  p = 0 encodes the augmentation map onto a single row.
+    Stored sparsely: one tuple of row indices per column, rows indexed by
+    the order of the (p-1)-simplices in the complex.  Entry t is the facet
+    that omits vertex t of the column's simplex; its sign (-1)^t is implied
+    by the position.  p = 0 encodes the augmentation map onto a single row.
     """
 
     p: int
     n_rows: int
     n_cols: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
-    def gf2_columns(self) -> list[int]:
-        return [sum(1 << row for row, _ in col) for col in self.columns]
+    def gf2_columns(self, skip=frozenset()) -> list[int]:
+        """Bit-packed GF(2) columns, leaving out the column indices in skip."""
+        out = []
+        for j, col in enumerate(self.columns):
+            if j in skip:
+                continue
+            v = 0
+            for row in col:
+                v |= 1 << row
+            out.append(v)
+        return out
 
     def dense_rows(self) -> list[list[int]]:
         out = [[0] * self.n_cols for _ in range(self.n_rows)]
         for j, col in enumerate(self.columns):
-            for row, sign in col:
-                out[row][j] = sign
+            for t, row in enumerate(col):
+                out[row][j] = -1 if t & 1 else 1
         return out
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> BoundaryMatrix:
-    """The matrix of the p-th boundary operator in canonical simplex order."""
+    """The matrix of the p-th boundary operator in the complex's simplex order."""
     if not 1 <= p <= k.max_dim_requested:
         raise DimensionOutOfRange(
             f"p must lie in 1..{k.max_dim_requested}, got {p}")
-    row_index = k.index_map(p - 1)
-    cols = []
-    for simplex in k.simplices(p):
-        entries = []
-        for j in range(len(simplex)):
-            facet = simplex[:j] + simplex[j + 1:]
-            entries.append((row_index[facet], 1 if j % 2 == 0 else -1))
-        cols.append(tuple(entries))
-    return BoundaryMatrix(p, len(k.simplices(p - 1)), len(cols), tuple(cols))
+    row_of = k.index_map(p - 1).__getitem__
+    # combinations() omits the last vertex first; reversed, entry t omits vertex t
+    cols = tuple(tuple(map(row_of, combinations(simplex, p)))[::-1]
+                 for simplex in k.simplices(p))
+    return BoundaryMatrix(p, len(k.simplices(p - 1)), len(cols), cols)
 
 
 def _augmentation_matrix(k: SimplicialComplex) -> BoundaryMatrix:
     f0 = len(k.simplices(0))
-    return BoundaryMatrix(0, 1 if f0 else 0, f0, tuple(((0, 1),) for _ in range(f0)))
+    return BoundaryMatrix(0, 1 if f0 else 0, f0, ((0,),) * f0)
 
 
 def _operator(k, p):
@@ -138,9 +148,24 @@ def _reduced_betti(k, ranks) -> tuple[int, ...]:
 
 
 def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
-    """Reduced GF(2) Betti numbers beta~_0..beta~_up_to."""
+    """Reduced GF(2) Betti numbers beta~_0..beta~_up_to.
+
+    Degrees run in order, and d_{p+1} is built before d_p is packed.  For a
+    (p+1)-simplex with largest facet s, dd = 0 makes column s of d_p the sum
+    of its other facets' columns, all with smaller indices; dropping every
+    such s from the largest down never changes the rank, so only the rest
+    of d_p is packed and ranked.  The top degree up_to + 1 is ranked whole.
+    """
     _check_truncation(k, up_to)
-    ranks = [gf2_rank(_operator(k, p).gf2_columns()) for p in range(up_to + 2)]
+    ranks = []
+    bm = _operator(k, 0)
+    for p in range(up_to + 2):
+        nxt = boundary_matrix(k, p + 1) if p <= up_to else None
+        cleared = frozenset() if nxt is None else {max(col) for col in nxt.columns}
+        cols = bm.gf2_columns(cleared)
+        bm = nxt  # frees d_p's sparse columns before the elimination
+        ranks.append(gf2_rank(cols))
+        del cols  # and its packing before the next degree is packed
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 

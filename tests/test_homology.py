@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from vrhq import complexes as cx, homology as ho
 from vrhq.errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
-from tests.oracles import brute_reduced_betti, determinantal_divisors
+from tests.oracles import (brute_reduced_betti, dense_boundary, dense_gf2_rank,
+                           determinantal_divisors)
 
 RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                  (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
@@ -29,6 +30,28 @@ def small_matrices(draw):
     zero_cols = draw(st.sets(st.integers(0, nc - 1)))
     return [[0 if i in zero_rows or j in zero_cols else a for j, a in enumerate(row)]
             for i, row in enumerate(matrix)]
+
+
+@st.composite
+def shuffled_complexes(draw):
+    """Face-closed complexes on at most 8 vertices, built to dimension at
+    most 4: the closure of a few random faces, every bucket shuffled out of
+    lex order.  Dimensions above the largest face stay empty."""
+    m = draw(st.integers(1, 8))
+    max_dim = draw(st.integers(1, 4))
+    faces = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1, max_size=max_dim + 1),
+                          max_size=8))
+    closure = {(v,) for v in range(m)}
+    for face in faces:
+        for size in range(2, len(face) + 1):
+            closure.update(itertools.combinations(sorted(face), size))
+    by_dim = [sorted(s for s in closure if len(s) == d + 1) for d in range(max_dim + 1)]
+    return [draw(st.permutations(bucket)) for bucket in by_dim]
+
+
+def adamaszek_adams_beta3(n):
+    """beta~_3 of VR(Q_n; 2), a wedge of 3-spheres (Adamaszek-Adams, JACT 2022)."""
+    return sum((j + 1) * (2 ** (n - 2) - 2 ** (i - 1)) for i in range(1, n) for j in range(i))
 
 
 def assert_uct(zprof, gprof):
@@ -80,6 +103,24 @@ class TestBoundaryMatrix:
                     for j in range(len(b[0])):
                         assert sum(a[i][t] * b[t][j] for t in range(len(b))) == 0
 
+    def test_column_convention(self):
+        # entry t of a column is the facet omitting vertex t, with sign (-1)^t
+        tetrahedron = [list(itertools.combinations(range(4), d + 1)) for d in range(4)]
+        bm = ho.boundary_matrix(cx.SimplicialComplex(4, 3, tetrahedron), 3)
+        assert bm.columns == ((3, 2, 1, 0),)
+        assert bm.dense_rows() == [[-1], [1], [-1], [1]]
+        # the same with every bucket reversed, in every degree
+        k = cx.SimplicialComplex(4, 3, [bucket[::-1] for bucket in tetrahedron])
+        for p in range(1, 4):
+            index = k.index_map(p - 1)
+            bm = ho.boundary_matrix(k, p)
+            dense = bm.dense_rows()
+            for j, simplex in enumerate(k.simplices(p)):
+                facets = [simplex[:t] + simplex[t + 1:] for t in range(p + 1)]
+                assert bm.columns[j] == tuple(index[f] for f in facets)
+                assert [row[j] for row in dense] == [
+                    (-1) ** facets.index(f) if f in facets else 0 for f in k.simplices(p - 1)]
+
     def test_dimension_out_of_range(self):
         k = cx.vietoris_rips(2, 1, 2)
         with pytest.raises(DimensionOutOfRange):
@@ -105,6 +146,34 @@ class TestBettiGf2:
         for n, r, up_to in [(2, 1, 1), (3, 1, 1), (3, 2, 3), (3, 3, 3), (4, 1, 2)]:
             k = cx.vietoris_rips(n, r, up_to + 1)
             assert ho.betti_gf2(k, up_to).reduced_betti == brute_reduced_betti(n, r, up_to)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_adamaszek_adams_closed_form(self, n):
+        betti = ho.betti_gf2(cx.vietoris_rips(n, 2, 4), 3).reduced_betti
+        assert betti == (0, 0, 0, adamaszek_adams_beta3(n))
+
+    def test_q5_r3_through_degree_7(self):
+        betti = ho.betti_gf2(cx.vietoris_rips(5, 3, 8), 7).reduced_betti
+        assert betti == (0, 0, 0, 0, 1, 0, 0, 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_complexes())
+    def test_matches_dense_oracle_on_shuffled_complexes(self, by_dim):
+        max_dim = len(by_dim) - 1
+        k = cx.SimplicialComplex(len(by_dim[0]), max_dim, by_dim)
+        f = k.f_vector()
+        mats = [dense_boundary(by_dim, p) for p in range(max_dim + 1)]
+        ranks = [dense_gf2_rank(a) for a in mats]
+        expected = tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(max_dim))
+        assert ho.betti_gf2(k, max_dim - 1).reduced_betti == expected
+        # clearing: dropping each column of d_p that is the largest facet of a
+        # (p+1)-simplex keeps the rank of d_p
+        for p in range(max_dim):
+            index = {s: i for i, s in enumerate(by_dim[p])}
+            cleared = {max(index[s[:t] + s[t + 1:]] for t in range(len(s)))
+                       for s in by_dim[p + 1]}
+            kept = [j for j in range(f[p]) if j not in cleared]
+            assert dense_gf2_rank(mats[p][:, kept]) == ranks[p]
 
     def test_disconnected_counts_components(self):
         points = cx.vietoris_rips(3, 0, 1)

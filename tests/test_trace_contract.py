@@ -1,0 +1,45 @@
+"""The benchmark's tracer still composes Betti numbers from vrhq's layer calls.
+
+`bench/tracing.py` wraps public homology functions by name and rebuilds the
+reduced Betti numbers from the ranks its wrappers record, in degree order.
+These tests run it unchanged against the current program, so a change that
+breaks the traced benchmark fails here too.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import pathlib
+
+import pytest
+
+import vrhq
+from vrhq import cli
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("coefficients", [[], ["--coefficients", "z"]])
+def test_composed_betti_matches_printed(tracing, coefficients):
+    up_to = 3
+    argv = ["homology", "--n", "4", "--r", "2", "--up-to", str(up_to), *coefficients]
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    out = io.StringIO()
+    with tracing.Patched(tracer, vrhq), contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    printed = json.loads(out.getvalue())["result"]["reduced_betti"]
+    assert tracing.composed_betti(tracer.spans, 0, up_to) == printed == [0, 0, 0, 9]
+    packed = [s for s in tracer.spans if s["name"] == "homology.gf2_columns"]
+    assert all(type(s["bytes"]) is int for s in packed)
+    if not coefficients:
+        assert len(packed) == up_to + 2
