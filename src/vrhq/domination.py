@@ -14,11 +14,16 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .bitops import iter_bits, mask_of
+from .bitops import dense_bits, iter_bits, mask_of
 from .errors import IsolatedVertex, TooLarge
 from .hypercube import Graph
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
+# Set-up phases check a deadline once per this many bits of bitset work:
+# each step reads one m-bit row, so a check every CHECK_BITS // m steps.
+# Small graphs finish these phases at any time limit, and on large ones the
+# clock is read well under a millisecond apart.
+CHECK_BITS = 1 << 20
 
 
 def _require_no_isolated(g: Graph):
@@ -41,17 +46,23 @@ def trivial_lower_bound(g: Graph) -> int:
     return -(-g.m // g.max_degree)
 
 
-def greedy_upper_bound(g: Graph) -> frozenset[int]:
+def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int]:
     """A total dominating set built greedily, used as the solver incumbent.
 
-    Cover phase: repeatedly add the vertex dominating the most currently
-    undominated vertices (lowest index on ties).  Repair phase: while some
-    chosen vertex has no chosen neighbor, add its highest-degree neighbor.
+    Repeatedly add the vertex dominating the most currently undominated
+    vertices, lowest index on ties.  Once every vertex has a chosen neighbour
+    the set is total dominating (adjacency is symmetric, so each chosen
+    vertex has a chosen neighbour too).
 
-    The cover phase is lazy (Minoux's accelerated greedy): coverages only
-    shrink, so a heap of stale coverages bounds every vertex from above, and
-    a popped vertex whose fresh coverage still beats the heap's top is the
+    The loop is lazy (Minoux's accelerated greedy): coverages only shrink,
+    so a heap of stale coverages bounds every vertex from above, and a
+    popped vertex whose fresh coverage still beats the heap's top is the
     vertex an eager scan would pick.
+
+    `deadline` is a `time.monotonic()` value, checked every
+    CHECK_BITS // m heap pops.  Once it has passed, each vertex still
+    undominated adds its lowest neighbour, which completes a valid set in
+    one pass over the vertices.
     """
     _require_no_isolated(g)
     rows = g.rows()
@@ -63,7 +74,13 @@ def greedy_upper_bound(g: Graph) -> frozenset[int]:
     # one int per vertex rather than a tuple keeps the heap small
     heap = [(m - row.bit_count()) * m + v for v, row in enumerate(rows)]
     heapq.heapify(heap)
+    stride = max(1, CHECK_BITS // m)
+    pops = 0
     while dominated != full:
+        pops += 1
+        if deadline is not None and not pops % stride and time.monotonic() > deadline:
+            return frozenset(dense_bits(chosen)).union(
+                (row & -row).bit_length() - 1 for row in dense_bits(full ^ dominated, rows))
         v = heapq.heappop(heap) % m
         key = (m - (rows[v] & ~dominated).bit_count()) * m + v
         if heap and key > heap[0]:
@@ -71,14 +88,7 @@ def greedy_upper_bound(g: Graph) -> frozenset[int]:
             continue
         chosen |= 1 << v
         dominated |= rows[v]
-    while True:
-        unsupported = [v for v in iter_bits(chosen) if not rows[v] & chosen]
-        if not unsupported:
-            break
-        v = unsupported[0]
-        w = max(iter_bits(rows[v]), key=lambda u: (rows[u].bit_count(), -u))
-        chosen |= 1 << w
-    return frozenset(iter_bits(chosen))
+    return frozenset(dense_bits(chosen))
 
 
 @dataclass(frozen=True)
@@ -108,16 +118,27 @@ class DominationResult:
             raise ValueError("exact value present iff status is exact")
 
 
-def _components(rows) -> list[int]:
-    """Vertex bitsets of the connected components, by bitset BFS over rows."""
+def _components(rows, deadline=None) -> list[int]:
+    """Vertex bitsets of the connected components, by bitset BFS over rows.
+
+    The deadline is checked every CHECK_BITS // m vertices taken off a
+    frontier; once it has passed, the vertices not in a finished component
+    form one last part, which need not be connected."""
     unseen = (1 << len(rows)) - 1
     comps = []
+    stride = max(1, CHECK_BITS // len(rows))
+    steps = 0
     while unseen:
         comp = unseen & -unseen
         frontier = comp
         while frontier:
             reach = 0
             while frontier:
+                steps += 1
+                if (deadline is not None and not steps % stride
+                        and time.monotonic() > deadline):
+                    comps.append(unseen)
+                    return comps
                 low = frontier & -frontier
                 reach |= rows[low.bit_length() - 1]
                 frontier ^= low
@@ -135,6 +156,87 @@ def _induced(rows, verts) -> Graph:
                  validate=False)
 
 
+def branch_or_prune(rows, live, undom, selectable, k):
+    """One search node: the candidates to branch over, best first, and the
+    cap its children start from; None when no k more picks from
+    `selectable` can dominate every vertex of `undom` (which is not empty).
+
+    `live[v]` must be rows[v] for v in `selectable` and 0 otherwise.  A
+    pick v covers its coverage (rows[v] & undom).bit_count().  Two lower
+    bounds on the picks still needed are tested against k:
+
+    * Open packing (rho°(G) <= gamma_t(G); Henning-Yeo, *Total Domination
+      in Graphs*, 2013).  Undominated vertices whose candidate sets
+      rows[u] & selectable are pairwise disjoint each need a pick of their
+      own.  They are packed greedily by ascending candidate count, lowest
+      index first on ties, so the first vertex packed is the fail-first
+      branch vertex.  This needs no coverages and runs before they are
+      computed.
+    * Coverage.  Any k picks hold one vertex of each of the p packed sets,
+      and those p are distinct, so the picks cover at most the largest
+      coverage of each packed set plus the k - p largest coverages of the
+      other vertices.  That is a sum of k distinct coverages, so it is never
+      above the k largest, the bound this replaces.
+
+    The cap handed down is the sum of the k - 1 largest coverages: coverages
+    only shrink going down and a child has one pick fewer, so it bounds the
+    sum of the child's k largest.
+    """
+    # undominated vertices, as their rows (no new objects per vertex), by
+    # ascending candidate count, lowest index first on ties: the sort is
+    # stable and dense_bits yields them in ascending order
+    pending = sorted(dense_bits(undom, rows),
+                     key=lambda row: (row & selectable).bit_count())
+    if not pending[0] & selectable:
+        return None
+    packed = []
+    used = 0
+    for row in pending:
+        if not row & used:  # used lies inside selectable
+            if len(packed) == k:
+                return None
+            packed.append(row)
+            used |= row & selectable
+            if used == selectable:
+                break
+    del pending
+    cover = [(row & undom).bit_count() for row in live]
+    order = []
+    cands = packed[0] & selectable
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        order.append(low.bit_length() - 1)
+    # stable, so ties keep ascending vertex order
+    order.sort(key=cover.__getitem__, reverse=True)
+    maxes = [cover[order[0]]]
+    for row in packed[1:]:
+        cands = row & selectable
+        best = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            c = cover[low.bit_length() - 1]
+            if c > best:
+                best = c
+        maxes.append(best)
+    total = sum(maxes)
+    need = undom.bit_count()
+    free = k - len(packed)
+    if total + free * max(cover) < need:
+        return None
+    top = sorted(cover, reverse=True)[:k]
+    cap = sum(top[:k - 1])
+    if free:
+        # the k - p largest coverages once the packed maximisers are out
+        for c in maxes:
+            if c >= top[-1]:
+                top.remove(c)
+        if total + sum(top[:free]) < need:
+            return None
+    return order, cap
+
+
 def _search(g: Graph, transitive: bool, deadline):
     """Branch-and-bound on one graph; returns (lower, size, witness mask,
     nodes, timed_out), with lower == size when the search finished."""
@@ -143,63 +245,16 @@ def _search(g: Graph, transitive: bool, deadline):
     full = (1 << m) - 1
     delta = g.max_degree
 
-    incumbent = greedy_upper_bound(g)
+    incumbent = greedy_upper_bound(g, deadline)
     best_size = len(incumbent)
     best_mask = mask_of(incumbent)
     lower = trivial_lower_bound(g)
     # live[v] is rows[v] while v is selectable and 0 once it is not; zero
-    # rows leave the sum of the k largest coverages unchanged.
+    # rows leave the sums of the largest coverages unchanged.
     live = list(rows)
 
     nodes = 0
     timed_out = False
-
-    def branches(size, dominated, selectable, cap):
-        # (candidates best first, cap for the children), or None to prune.
-        # Lives in its own frame so that the O(m) coverage list is freed
-        # before the recursion goes deeper.
-        #
-        # Admissible residual bound: with k picks left that could still beat
-        # the incumbent, the k largest residual coverages must reach the
-        # undominated count.  Two O(1) tests come first: no coverage exceeds
-        # Delta, and `cap`, the parent's sum of its k-1 largest coverages,
-        # bounds this node's k largest (coverages only shrink going down,
-        # and k only falls).
-        undom = full ^ dominated
-        need = undom.bit_count()
-        k = best_size - size - 1
-        if k * delta < need or cap < need:
-            return None
-        cover = [(row & undom).bit_count() for row in live]
-        top = sorted(cover, reverse=True)[:k]
-        total = sum(top)
-        if total < need:
-            return None
-        if len(top) == k:
-            total -= top[-1]
-        # fail-first: undominated vertex with the fewest remaining dominators
-        branch_cands = 0
-        branch_count = m + 1
-        mask = undom
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            cands = rows[low.bit_length() - 1] & selectable
-            c = cands.bit_count()
-            if c == 0:
-                return None
-            if c < branch_count:
-                branch_count, branch_cands = c, cands
-                if c == 1:
-                    break
-        order = []
-        while branch_cands:
-            low = branch_cands & -branch_cands
-            branch_cands ^= low
-            order.append(low.bit_length() - 1)
-        # stable, so ties keep ascending vertex order
-        order.sort(key=cover.__getitem__, reverse=True)
-        return order, total
 
     def dfs(size, chosen, dominated, selectable, cap):
         nonlocal best_size, best_mask, nodes, timed_out
@@ -211,7 +266,15 @@ def _search(g: Graph, transitive: bool, deadline):
             if size < best_size:
                 best_size, best_mask = size, chosen
             return
-        got = branches(size, dominated, selectable, cap)
+        # k more picks could still beat the incumbent.  Two O(1) tests come
+        # before branch_or_prune: no coverage exceeds Delta, and the cap
+        # bounds the sum of the k largest coverages.
+        undom = full ^ dominated
+        need = undom.bit_count()
+        k = best_size - size - 1
+        if k * delta < need or cap < need:
+            return
+        got = branch_or_prune(rows, live, undom, selectable, k)
         if got is None:
             return
         order, cap = got
@@ -243,25 +306,32 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     is fail-first: pick the undominated vertex with the fewest selectable
     dominators and branch over its candidates in decreasing residual-coverage
     order, excluding each candidate from the subtrees of its successors.  A
-    node is pruned when |chosen| plus an admissible residual covering bound
-    cannot beat the incumbent.  On vertex-transitive inputs every optimum can
-    be XOR-translated to contain vertex 0, so the root fixes it.
+    node is pruned when |chosen| plus a lower bound on the picks still needed
+    cannot beat the incumbent: two O(1) coverage tests, then the open packing
+    and coverage bounds of `branch_or_prune`.  Every prune cuts only subtrees
+    with no set smaller than the incumbent, so the incumbent changes at the
+    same leaves whichever of them fire, and a stronger prune changes `nodes`
+    but never the value or the witness.  On vertex-transitive inputs every
+    optimum can be XOR-translated to contain vertex 0, so the root fixes it.
 
     gamma_t is additive over connected components, so a disconnected graph
     is solved one component at a time under the shared deadline, and the
     bounds, witnesses and node counts are summed.
 
-    With no time limit the result is exact.  The deadline is checked at every
-    search node; on expiry the result has status "bounds_only", with the
-    incumbent as `upper` and, per component, the trivial bound
-    ceil(m_i / Delta_i) (or the exact value, for a component that finished)
-    summed into `lower`.
+    With no time limit the result is exact.  The deadline covers everything
+    after the graph is built: the component split and the greedy incumbent
+    read the clock once per CHECK_BITS bits of bitset work, and the search at
+    every node.  On expiry the result has status "bounds_only", with the
+    incumbent (completed cheaply if the greedy was cut short) as `upper`
+    and, per component, the trivial bound ceil(m_i / Delta_i) (or the exact
+    value, for a component that finished) summed into `lower`.  A split cut
+    short leaves the unsplit rest as one part.
     """
     _require_no_isolated(g)
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
     rows = g.rows()
-    comps = _components(rows)
+    comps = _components(rows, deadline)
     if len(comps) == 1:
         parts = [(range(g.m), g)]
     else:
@@ -279,7 +349,7 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
         upper += size
         nodes += part_nodes
         timed_out = timed_out or part_timed_out
-        witness.update(verts[i] for i in iter_bits(mask))
+        witness.update(verts[i] for i in dense_bits(mask))
     witness = frozenset(witness)
     elapsed = time.monotonic() - start
     if timed_out:

@@ -6,7 +6,8 @@ GF(2) ranks from dense numpy elimination, integer invariant factors from gcds
 of Bareiss minors, and the connectivity bound from fractions.Fraction.  Oracle results are frozen into the tests; the oracles
 stay around so the freezing can be audited and re-run.  The domination
 references are frozen copies of the solver's earlier, simpler form, kept so
-that faster rewrites can be required to search the same tree.
+that faster rewrites can be required to return the same answer in no more
+nodes; gamma_t is also solved as an integer program by scipy's HiGHS.
 """
 
 from __future__ import annotations
@@ -270,3 +271,18 @@ def reference_gamma_t(rows, transitive=False):
         else:
             dfs(0, 0, 0, full)
     return best[0], frozenset(_bits(best[1])), nodes
+
+
+def milp_gamma_t(rows) -> int:
+    """gamma_t as a 0/1 integer program solved by scipy's HiGHS: minimise
+    the number of chosen vertices such that every vertex has a chosen
+    neighbour.  Shares no code with the branch and bound."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m = len(rows)
+    adjacency = np.array([[(row >> v) & 1 for v in range(m)] for row in rows])
+    res = milp(np.ones(m), constraints=LinearConstraint(adjacency, lb=1),
+               integrality=np.ones(m), bounds=Bounds(0, 1))
+    if not res.success:
+        raise AssertionError(f"MILP failed: {res.message}")
+    return round(res.fun)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from vrhq import bounds, domination as dom, hypercube as hc
 from vrhq.errors import IsolatedVertex, TooLarge
 
-from tests.oracles import eager_greedy, random_isolated_free_graphs, reference_gamma_t
+from tests.oracles import (eager_greedy, milp_gamma_t, random_isolated_free_graphs,
+                          reference_gamma_t)
 
 
 def figure_graph():
@@ -28,6 +29,16 @@ def relabelled(g, seed):
     random.Random(seed).shuffle(perm)
     return hc.Graph.from_edges(g.m, [(perm[u], perm[v]) for u in range(g.m)
                                      for v in g.neighbors(u) if u < v])
+
+
+@pytest.fixture(scope="module")
+def relabelled_gc64(gc64):
+    return relabelled(gc64, 0)
+
+
+@pytest.fixture(scope="module")
+def relabelled_gc64_exact(relabelled_gc64):
+    return dom.exact_gamma_t(relabelled_gc64)
 
 
 def disjoint_union(*graphs):
@@ -201,20 +212,43 @@ class TestExactGammaT:
         # an expired deadline stops the search at its first node
         assert res.nodes <= 1
 
-    def test_same_tree_as_frozen_reference(self, gc64, gc64_exact):
-        # on connected input the solver must visit exactly the nodes of the
-        # frozen reference and return its witness
+    def test_same_answer_as_frozen_reference(self, gc64, gc64_exact):
+        # the open-packing prune cuts subtrees that hold no set smaller than
+        # the incumbent, so the incumbent changes at the same leaves: same
+        # value and witness as the frozen reference, in no more nodes
         cases = [(g, False) for g in small_corpus() if is_connected(g)]
         cases += [(hc.build_hamming_graph(n, r, complemented=True), True)
                   for n in range(1, 6) for r in range(n - 1)]
         cases += [(hc.build_hamming_graph(6, r, complemented=True), True) for r in range(4)]
         cases.append((relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3), False))
+        cases.append((gc64, True))
         for g, transitive in cases:
             assert g.vertex_transitive == transitive
+            res = gc64_exact if g is gc64 else dom.exact_gamma_t(g)
+            value, witness, nodes = reference_gamma_t(g.rows(), transitive)
+            assert (res.exact, res.witness) == (value, witness)
+            assert res.nodes <= nodes
+
+    def test_node_counts_are_pinned(self, gc64_exact, relabelled_gc64_exact):
+        # deterministic counts, no timing: a weaker prune fails here first
+        # (the solver without the packing prune took 29,289 and 209,721 nodes)
+        assert gc64_exact.nodes == 10094
+        assert relabelled_gc64_exact.exact == 12
+        assert relabelled_gc64_exact.nodes == 67466
+
+    def test_matches_milp_oracle(self, relabelled_gc64, relabelled_gc64_exact):
+        pytest.importorskip("scipy.optimize")
+        gc53 = hc.build_hamming_graph(5, 3, complemented=True)
+        assert milp_gamma_t(gc53.rows()) == dom.exact_gamma_t(gc53).exact == 7
+        assert milp_gamma_t(relabelled_gc64.rows()) == relabelled_gc64_exact.exact
+        graphs = [hc.Graph.from_edges(m, edges) for m, edges in
+                  random_isolated_free_graphs(count=30, max_m=40, seed=2024)]
+        graphs = [g for g in graphs if is_connected(g)]
+        assert len(graphs) >= 10 and max(g.m for g in graphs) > 30
+        for g in graphs:
             res = dom.exact_gamma_t(g)
-            assert (res.exact, res.witness, res.nodes) == reference_gamma_t(g.rows(), transitive)
-        value, witness, nodes = reference_gamma_t(gc64.rows(), True)
-        assert (gc64_exact.exact, gc64_exact.witness, gc64_exact.nodes) == (value, witness, nodes)
+            assert res.exact == milp_gamma_t(g.rows()), g.m
+            assert dom.is_total_dominating(g, res.witness)
 
     def test_components_are_solved_apart(self):
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
@@ -234,7 +268,7 @@ class TestExactGammaT:
         one = dom.exact_gamma_t(gc53)
         two = hc.Graph(disjoint_union(gc53, gc53).rows(), hamming=gc53.hamming)
         res = dom.exact_gamma_t(two)
-        assert res.exact == 14 and res.nodes == 2 * one.nodes == 2 * 157
+        assert res.exact == 14 and res.nodes == 2 * one.nodes == 2 * 113
         assert dom.is_total_dominating(two, res.witness)
 
     def test_bounds_only_on_disconnected_graph(self):
@@ -274,6 +308,142 @@ class TestExactGammaT:
                     value = dom.exact_gamma_t(g).exact
                 a = bounds.alpha(n, r)
                 assert value * a.denominator >= 2 * a.numerator
+
+
+def fewest_picks(rows, undom, selectable):
+    """The fewest vertices of `selectable` that dominate all of `undom`, by
+    trying every subset in order of size; None when none does."""
+    pool = [v for v in range(len(rows)) if (selectable >> v) & 1]
+    for j in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, j):
+            covered = 0
+            for v in combo:
+                covered |= rows[v]
+            if not undom & ~covered:
+                return j
+    return None
+
+
+@st.composite
+def partial_states(draw):
+    g = draw(isolated_free_graphs(max_m=10))
+    undom = draw(st.integers(min_value=1, max_value=(1 << g.m) - 1))
+    selectable = draw(st.integers(min_value=0, max_value=(1 << g.m) - 1))
+    return g, undom, selectable
+
+
+class TestBranchOrPrune:
+    @settings(max_examples=400, deadline=None)
+    @given(partial_states())
+    def test_bound_never_exceeds_the_fewest_picks(self, state):
+        g, undom, selectable = state
+        rows = g.rows()
+        live = [row if (selectable >> v) & 1 else 0 for v, row in enumerate(rows)]
+        fewest = fewest_picks(rows, undom, selectable)
+        for k in range(1, g.m + 1):
+            got = dom.branch_or_prune(rows, live, undom, selectable, k)
+            if fewest is not None and k >= fewest:
+                # the bound never exceeds the fewest extra picks
+                assert got is not None, (k, fewest)
+            if got is None:
+                continue
+            order, cap = got
+            cover = [(row & undom).bit_count() for row in live]
+            # fail-first: the undominated vertex with the fewest candidates,
+            # lowest index on ties; its candidates by decreasing coverage
+            counts = {u: (rows[u] & selectable).bit_count()
+                      for u in range(g.m) if (undom >> u) & 1}
+            u = min(counts, key=lambda w: (counts[w], w))
+            cands = [v for v in range(g.m) if (rows[u] & selectable) >> v & 1]
+            assert order == sorted(cands, key=lambda v: (-cover[v], v))
+            assert cap == sum(sorted(cover, reverse=True)[:k - 1])
+
+    def test_packing_prunes_before_the_coverage_pass(self):
+        # the four leaves of two disjoint P4s need four distinct picks
+        g = hc.Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        rows = g.rows()
+        undom = 0b10011001
+        live = CountingRows(rows)
+        assert dom.branch_or_prune(rows, live, undom, 0xFF, 3) is None
+        assert live.reads == 0
+        assert dom.branch_or_prune(rows, live, undom, 0xFF, 4) is not None
+        assert live.reads == 8
+
+
+class CountingRows(list):
+    """A row list that counts the passes made over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+class FakeClock:
+    """time.monotonic stand-in: each reading is one more than the last."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now
+
+
+class TestDeadline:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(dom, "time", clock)
+        monkeypatch.setattr(dom, "CHECK_BITS", 1)  # read the clock at every step
+        return clock
+
+    def test_cut_greedy_still_dominates(self, clock):
+        g = hc.build_hamming_graph(6, 4, complemented=True)
+        full = dom.greedy_upper_bound(g)
+        rows = g.rows()
+        lowest = frozenset((row & -row).bit_length() - 1 for row in rows)
+        for cut in range(40):
+            clock.now = 0
+            got = dom.greedy_upper_bound(g, deadline=cut + 0.5)
+            assert dom.is_total_dominating(g, got), cut
+            if clock.now > cut:  # cut short: stopped at the first late reading
+                assert clock.now == cut + 1
+            else:
+                assert got == full
+        clock.now = 0
+        assert dom.greedy_upper_bound(g, deadline=0.5) == lowest
+
+    def test_cut_components_partition_the_vertices(self, clock):
+        g = disjoint_union(four_cycle(), hc.build_hamming_graph(3, 2, complemented=True),
+                           complete_graph(3))
+        rows = g.rows()
+        comps = dom._components(rows)
+        assert len(comps) == 6  # Gc(3,2) is the four antipodal pairs
+        for cut in range(g.m + 2):
+            clock.now = 0
+            parts = dom._components(rows, deadline=cut + 0.5)
+            assert sum(parts) == (1 << g.m) - 1 and sum(p.bit_count() for p in parts) == g.m
+            assert parts[:-1] == comps[:len(parts) - 1]
+            # one reading per vertex taken off a frontier, none after a late one
+            assert clock.now == min(cut + 1, g.m)
+
+    def test_solver_stops_at_the_deadline(self, clock):
+        gc86 = hc.build_hamming_graph(8, 6, complemented=True)
+        gc42 = hc.build_hamming_graph(4, 2, complemented=True)
+        g = disjoint_union(gc42, gc86)
+        for cut in (0, 1, 5, 17, 60, 200, 400):
+            clock.now = 0
+            # the solver reads the clock once to start it
+            res = dom.exact_gamma_t(g, time_limit=cut + 0.5)
+            assert res.status == "bounds_only", cut
+            assert dom.trivial_lower_bound(g) <= res.lower <= 4 + 32 <= res.upper
+            assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
+            # past the deadline: one late reading in each of the set-up
+            # phases and the first search node of each part, and the last
+            # reading for elapsed_s
+            assert clock.now <= cut + 2 + 2 * 2 + 1
 
 
 class TestTightExamples:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrhq import bounds, hypercube as hc
+from vrhq import bitops, bounds, hypercube as hc
 from vrhq.errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 labels64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -11,6 +11,17 @@ labels64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 def figure_graph():
     # three vertices, edges 0-1 and 0-2
     return hc.Graph.from_edges(3, [(0, 1), (0, 2)])
+
+
+class TestBitops:
+    @settings(max_examples=300)
+    @given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+    def test_dense_bits_lists_the_set_bits(self, mask):
+        # the plain per-bit test, not iter_bits, is the reference
+        want = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+        assert list(bitops.dense_bits(mask)) == list(bitops.iter_bits(mask)) == want
+        items = [object() for _ in range(300)]
+        assert list(bitops.dense_bits(mask, items)) == [items[i] for i in want]
 
 
 class TestHammingDistance:
