@@ -193,6 +193,8 @@ def _load_gamma_t_graph(args):
 
 
 def _cmd_gamma_t(args):
+    if args.exhaustive and args.time_limit is not None:
+        raise ValueError("--exhaustive excludes --time-limit")
     g, info = _load_gamma_t_graph(args)
     if args.exhaustive:
         value = domination.gamma_t_exhaustive(g)
@@ -219,17 +221,19 @@ def _cmd_complex(args):
 def _cmd_homology(args):
     if args.up_to is None or args.up_to < 0:
         raise ValueError("--up-to must be >= 0")
-    cap = _resolve_cap(args.max_simplices, "VRHQ_MAX_SIMPLICES",
-                       complexes.DEFAULT_MAX_SIMPLICES)
     snf_cap = _resolve_cap(args.snf_cap, "VRHQ_SNF_CAP", homology.DEFAULT_SNF_CAP)
     if args.complex_file is not None:
         if args.n is not None or args.r is not None:
             raise ValueError("--complex excludes --n/--r")
+        if args.max_simplices is not None:
+            raise ValueError("--complex excludes --max-simplices, which caps --n/--r builds")
         k = complexes.read_complex_file(args.complex_file)
         source = {"kind": "file", "path": args.complex_file}
     else:
         if args.n is None or args.r is None:
             raise ValueError("either --complex or both --n and --r are required")
+        cap = _resolve_cap(args.max_simplices, "VRHQ_MAX_SIMPLICES",
+                           complexes.DEFAULT_MAX_SIMPLICES)
         k = complexes.vietoris_rips(args.n, args.r, args.up_to + 1, max_simplices=cap)
         source = {"kind": "hamming", "n": args.n, "r": args.r}
     profile = homology.reduced_homology(k, args.up_to, args.coefficients,

@@ -157,9 +157,10 @@ def _induced(rows, verts) -> Graph:
 
 
 def branch_or_prune(rows, live, undom, selectable, k):
-    """One search node: the candidates to branch over, best first, and the
-    cap its children start from; None when no k more picks from
-    `selectable` can dominate every vertex of `undom` (which is not empty).
+    """One search node: (order, cap, u), the candidates to branch over, best
+    first, the cap its children start from, and the undominated vertex u
+    whose candidates they are; None when no k more picks from `selectable`
+    can dominate every vertex of `undom` (which is not empty).
 
     `live[v]` must be rows[v] for v in `selectable` and 0 otherwise.  A
     pick v covers its coverage (rows[v] & undom).bit_count().  Two lower
@@ -189,6 +190,11 @@ def branch_or_prune(rows, live, undom, selectable, k):
                      key=lambda row: (row & selectable).bit_count())
     if not pending[0] & selectable:
         return None
+    # its index: the first undominated vertex with that row, since a twin
+    # (same row) has the same candidate count and sorts in index order
+    u = rows.index(pending[0])
+    while not undom >> u & 1:
+        u = rows.index(pending[0], u + 1)
     packed = []
     used = 0
     for row in pending:
@@ -234,16 +240,67 @@ def branch_or_prune(rows, live, undom, selectable, k):
                 top.remove(c)
         if total + sum(top[:free]) < need:
             return None
-    return order, cap
+    return order, cap, u
+
+
+def _refine(cells, word):
+    """Split each cell (a bitset of coordinates) into its part inside the
+    support of `word` and its part outside, dropping empty parts."""
+    out = []
+    for cell in cells:
+        inside = cell & word
+        if inside and inside != cell:
+            out += (inside, cell ^ inside)
+        else:
+            out.append(cell)
+    return out
+
+
+def coordinate_orbits(cells, order):
+    """The words of `order` grouped into orbits of the coordinate
+    permutations that map every cell onto itself.
+
+    Such a permutation moves ones only within a cell, and any arrangement of
+    a cell's ones is reachable, so two words share an orbit exactly when
+    they have the same number of ones in every cell.  Orbits come in the
+    order of their first words in `order`, and each keeps `order`'s order.
+    """
+    orbits = {}
+    for v in order:
+        orbits.setdefault(tuple([(v & cell).bit_count() for cell in cells]), []).append(v)
+    return list(orbits.values())
 
 
 def _search(g: Graph, transitive: bool, deadline):
     """Branch-and-bound on one graph; returns (lower, size, witness mask,
-    nodes, timed_out), with lower == size when the search finished."""
+    nodes, timed_out), with lower == size when the search finished.
+
+    When g is a whole Hamming graph on Q_n (`g.hamming` set and m = 2^n),
+    its vertices are the words of Q_n and every coordinate permutation is
+    an automorphism; once vertex 0 is fixed these are the symmetries left.
+    The search then branches on orbits (orbital branching, Ostrowski,
+    Linderoth, Rossi and Smriglio, *Math. Programming* 2011).  Each node
+    carries a partition of the n coordinates into cells, one cell at the
+    root, and its state (chosen and selectable vertices) is invariant under
+    the group H of permutations that keep every cell.  At a branch on the
+    undominated vertex u the cells are refined by supp(u), which leaves
+    H_u, the subgroup fixing u; the candidates fall into its orbits
+    O_1, O_2, ... (`coordinate_orbits`).  Child i picks c_i, the first
+    member of O_i, excludes O_1..O_{i-1} and keeps O_i - {c_i} selectable;
+    its cells are refined by supp(c_i) as well, so its state is again
+    invariant under its group.  Completeness: a set T that solves the
+    node holds a candidate of u; let O_i be the first orbit T meets and
+    t in T & O_i.  Some h in H_u maps t to c_i.  h is an automorphism that
+    keeps the chosen set, the selectable set and every orbit, so h(T) is a
+    solution of the same size that holds c_i and misses O_1..O_{i-1}: it
+    lies in child i's subtree.  Once every cell is a single coordinate the
+    orbits are single vertices and the node branches as on any graph.
+    """
     rows = g.rows()
     m = g.m
     full = (1 << m) - 1
     delta = g.max_degree
+    n = g.hamming.n if g.hamming is not None and m == 1 << g.hamming.n else 0
 
     incumbent = greedy_upper_bound(g, deadline)
     best_size = len(incumbent)
@@ -256,7 +313,9 @@ def _search(g: Graph, transitive: bool, deadline):
     nodes = 0
     timed_out = False
 
-    def dfs(size, chosen, dominated, selectable, cap):
+    def dfs(size, chosen, dominated, selectable, cap, cells):
+        # cells is the coordinate partition on the orbital path, None once
+        # it is discrete or off that path
         nonlocal best_size, best_mask, nodes, timed_out
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -277,23 +336,38 @@ def _search(g: Graph, transitive: bool, deadline):
         got = branch_or_prune(rows, live, undom, selectable, k)
         if got is None:
             return
-        order, cap = got
+        order, cap, u = got
         sel = selectable
-        for v in order:
-            sel &= ~(1 << v)
-            live[v] = 0
-            dfs(size + 1, chosen | (1 << v), dominated | rows[v], sel, cap)
-            if timed_out:
-                break
+        if cells is not None:
+            cells = _refine(cells, u)
+        if cells is None or len(cells) == n:
+            for v in order:
+                sel &= ~(1 << v)
+                live[v] = 0
+                dfs(size + 1, chosen | (1 << v), dominated | rows[v], sel, cap, None)
+                if timed_out:
+                    break
+        else:
+            for orbit in coordinate_orbits(cells, order):
+                c = orbit[0]
+                live[c] = 0
+                sub = _refine(cells, c)
+                dfs(size + 1, chosen | (1 << c), dominated | rows[c], sel & ~(1 << c), cap,
+                    sub if len(sub) < n else None)
+                if timed_out:
+                    break
+                for v in orbit:
+                    sel &= ~(1 << v)
+                    live[v] = 0
         for v in order:
             live[v] = rows[v]
 
     if best_size > lower:
         if transitive:
             live[0] = 0
-            dfs(1, 1, rows[0], full ^ 1, m * delta)
+            dfs(1, 1, rows[0], full ^ 1, m * delta, [(1 << n) - 1] if n > 1 else None)
         else:
-            dfs(0, 0, 0, full, m * delta)
+            dfs(0, 0, 0, full, m * delta, None)
     if not timed_out:
         lower = best_size
     return lower, best_size, best_mask, nodes, timed_out
@@ -313,6 +387,11 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     same leaves whichever of them fire, and a stronger prune changes `nodes`
     but never the value or the witness.  On vertex-transitive inputs every
     optimum can be XOR-translated to contain vertex 0, so the root fixes it.
+    On a whole Hamming graph on Q_n the search also branches on orbits of
+    the coordinate permutations (see `_search`).  That skips subtrees that
+    hold only images of sets found elsewhere, so it cuts `nodes` and keeps
+    the value; the witness is a minimum set either way, though not always
+    the one the search without orbits would return.
 
     gamma_t is additive over connected components, so a disconnected graph
     is solved one component at a time under the shared deadline, and the

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bitops import iter_bits
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
@@ -129,7 +128,6 @@ class Graph:
         return Graph(rows, hamming=spec, validate=False)
 
 
-@lru_cache(maxsize=None)
 def _halfspace_pattern(n: int, b: int) -> int:
     """Bitset of positions j in [0, 2^n) whose b-th index bit is zero."""
     block = (1 << (1 << b)) - 1
@@ -139,23 +137,15 @@ def _halfspace_pattern(n: int, b: int) -> int:
     return block * unit
 
 
-def _xor_translate(mask: int, v: int, n: int) -> int:
-    """Permute the 2^n bit positions of mask by j -> j XOR v."""
-    for b in range(n):
-        if (v >> b) & 1:
-            s = 1 << b
-            p = _halfspace_pattern(n, b)
-            mask = ((mask & p) << s) | ((mask >> s) & p)
-    return mask
-
-
 def build_hamming_graph(n: int, r: int, complemented: bool = False,
                         ceiling: int = MATERIALIZE_CEILING) -> Graph:
     """Materialize G_{n,r} (distance <= r) or its complement (distance >= r+1).
 
-    The graph is vertex-transitive, so every adjacency row is the XOR
-    translate of the row of vertex 0; building it that way costs
-    O(n * 2^n / wordsize) per row instead of a popcount per pair.
+    The graph is vertex-transitive: row v is the row of vertex 0 with its
+    bit positions permuted by j -> j XOR v.  Row v is built from row
+    v XOR 2^b, b the lowest set bit of v, by one swap of the half-spaces
+    on index bit b, which costs O(2^n / wordsize) per row instead of a
+    popcount per pair.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -170,7 +160,13 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False,
         d = w.bit_count()
         if (d > r) if complemented else (d <= r):
             base |= 1 << w
-    rows = [_xor_translate(base, v, n) for v in range(1 << n)]
+    patterns = [_halfspace_pattern(n, b) for b in range(n)]
+    rows = [base]
+    for v in range(1, 1 << n):
+        low = v & -v
+        p = patterns[low.bit_length() - 1]
+        row = rows[v ^ low]
+        rows.append(((row & p) << low) | ((row >> low) & p))
     return Graph(rows, hamming=HammingSpec(n, r, complemented), validate=False)
 
 

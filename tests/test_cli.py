@@ -192,6 +192,12 @@ class TestGammaT:
         code, _ = run_json(capsys, "gamma-t", "--n", "2")
         assert code == 2
 
+    def test_exhaustive_takes_no_time_limit(self, capsys):
+        code, env = run_json(capsys, "gamma-t", "--n", "3", "--r", "2", "--exhaustive",
+                             "--time-limit", "0s")
+        assert code == 2
+        assert env["status"]["message"] == "--exhaustive excludes --time-limit"
+
     def test_exhaustive_cap_exits_4(self, capsys):
         code, env = run_json(capsys, "gamma-t", "--n", "5", "--r", "3", "--exhaustive")
         assert code == 4
@@ -259,6 +265,20 @@ class TestHomologyCommand:
         validate_envelope(env)
         assert env["result"]["reduced_betti"] == [0, 1]
         assert env["result"]["source"]["kind"] == "file"
+
+    def test_complex_file_takes_no_simplex_cap(self, capsys, tmp_path, monkeypatch):
+        # the cap bounds --n/--r builds; a file is read whole, so the flag is
+        # refused and the environment variable is not read
+        out = tmp_path / "k.cx"
+        run_cli(capsys, "complex", "--n", "2", "--r", "1", "--max-dim", "2",
+                "--out", str(out))
+        code, env = run_json(capsys, "homology", "--complex", str(out), "--up-to", "1",
+                             "--max-simplices", "1")
+        assert code == 2
+        assert "--max-simplices" in env["status"]["message"]
+        monkeypatch.setenv("VRHQ_MAX_SIMPLICES", "1")
+        code, env = run_json(capsys, "homology", "--complex", str(out), "--up-to", "1")
+        assert code == 0 and env["result"]["reduced_betti"] == [0, 1]
 
     def test_truncation_too_shallow_exits_2(self, capsys, tmp_path):
         out = tmp_path / "k.cx"
@@ -341,6 +361,8 @@ class TestFlagErrors:
         ["table", "--paper", "--r-max", "3"],
         ["table", "--n-max", "3", "--r-max", "-1"],
         [],
+        ["gamma-t", "--n", "3", "--r", "1", "--exhaustive", "--time-limit", "0s"],
+        ["homology", "--complex", "missing.cx", "--up-to", "1", "--max-simplices", "1"],
     ])
     def test_exit_2(self, capsys, argv):
         assert cli.main(argv) == 2

@@ -231,8 +231,9 @@ class TestExactGammaT:
 
     def test_node_counts_are_pinned(self, gc64_exact, relabelled_gc64_exact):
         # deterministic counts, no timing: a weaker prune fails here first
-        # (the solver without the packing prune took 29,289 and 209,721 nodes)
-        assert gc64_exact.nodes == 10094
+        # (the solver without the packing prune took 29,289 and 209,721
+        # nodes, and without orbital branching Gc(6,4) took 10,094)
+        assert gc64_exact.nodes == 2782
         assert relabelled_gc64_exact.exact == 12
         assert relabelled_gc64_exact.nodes == 67466
 
@@ -250,6 +251,32 @@ class TestExactGammaT:
             assert res.exact == milp_gamma_t(g.rows()), g.m
             assert dom.is_total_dominating(g, res.witness)
 
+    def test_hamming_inputs_match_the_frozen_reference(self, gc64, gc64_exact):
+        # orbital branching on every connected Gc(n,r) with n <= 7 (Gc(7,4)
+        # takes 64,262 reference nodes; (8,5) and (8,6) do not finish) and
+        # on the graphs G(n,r) themselves for n <= 5
+        cases = [(n, r, True) for n in range(1, 8) for r in range(n - 1)]
+        cases += [(n, r, False) for n in range(2, 6) for r in range(1, n)]
+        for n, r, complemented in cases:
+            g = gc64 if (n, r, complemented) == (6, 4, True) else \
+                hc.build_hamming_graph(n, r, complemented=complemented)
+            if len(dom._components(g.rows())) > 1:
+                continue
+            res = gc64_exact if g is gc64 else dom.exact_gamma_t(g)
+            value, _, nodes = reference_gamma_t(g.rows(), True)
+            assert res.exact == value, (n, r, complemented)
+            assert len(res.witness) == value and dom.is_total_dominating(g, res.witness)
+            assert res.nodes <= nodes
+
+    def test_hamming_inputs_match_milp_oracle(self):
+        pytest.importorskip("scipy.optimize")
+        # Gc(7,4) has m = 128; the reference search takes 211,704 nodes on Q_6
+        for g, nodes in ((hc.build_hamming_graph(7, 4, complemented=True), 1158),
+                         (hc.build_hamming_graph(6, 1), 3175)):
+            res = dom.exact_gamma_t(g)
+            assert res.exact == milp_gamma_t(g.rows())
+            assert res.nodes == nodes and dom.is_total_dominating(g, res.witness)
+
     def test_components_are_solved_apart(self):
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
         one = dom.exact_gamma_t(hc.Graph(gc53.rows()))  # unflagged: no root fixing
@@ -263,13 +290,20 @@ class TestExactGammaT:
 
     def test_flagged_components_fix_their_own_root(self):
         # the Hamming flag only marks vertex-transitivity, which the union of
-        # two copies of a vertex-transitive graph keeps
+        # two copies of a vertex-transitive graph keeps; its 64 vertices are
+        # not the words of Q_5, so its components take the search without
+        # orbits, which a single Gc(5,3) does not
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
         one = dom.exact_gamma_t(gc53)
+        assert one.nodes == 39
         two = hc.Graph(disjoint_union(gc53, gc53).rows(), hamming=gc53.hamming)
         res = dom.exact_gamma_t(two)
-        assert res.exact == 14 and res.nodes == 2 * one.nodes == 2 * 113
+        assert res.exact == 14 and res.nodes == 2 * 113
         assert dom.is_total_dominating(two, res.witness)
+        # connected, but a flag for Q_5 on 64 vertices: root fixing only
+        misflagged = hc.Graph(hc.build_hamming_graph(6, 4, complemented=True).rows(),
+                              hamming=gc53.hamming)
+        assert dom.exact_gamma_t(misflagged).nodes == 10094
 
     def test_bounds_only_on_disconnected_graph(self):
         gc86 = hc.build_hamming_graph(8, 6, complemented=True)  # deep search
@@ -347,13 +381,13 @@ class TestBranchOrPrune:
                 assert got is not None, (k, fewest)
             if got is None:
                 continue
-            order, cap = got
+            order, cap, u = got
             cover = [(row & undom).bit_count() for row in live]
             # fail-first: the undominated vertex with the fewest candidates,
             # lowest index on ties; its candidates by decreasing coverage
-            counts = {u: (rows[u] & selectable).bit_count()
-                      for u in range(g.m) if (undom >> u) & 1}
-            u = min(counts, key=lambda w: (counts[w], w))
+            counts = {w: (rows[w] & selectable).bit_count()
+                      for w in range(g.m) if (undom >> w) & 1}
+            assert u == min(counts, key=lambda w: (counts[w], w))
             cands = [v for v in range(g.m) if (rows[u] & selectable) >> v & 1]
             assert order == sorted(cands, key=lambda v: (-cover[v], v))
             assert cap == sum(sorted(cover, reverse=True)[:k - 1])
@@ -368,6 +402,53 @@ class TestBranchOrPrune:
         assert live.reads == 0
         assert dom.branch_or_prune(rows, live, undom, 0xFF, 4) is not None
         assert live.reads == 8
+
+
+def young_orbits_by_brute_force(n, cells, u):
+    """Orbits on the words of Q_n of every coordinate permutation that maps
+    each cell onto itself and fixes the word u."""
+    perms = []
+    for p in itertools.permutations(range(n)):
+        def image(word, p=p):
+            return sum(1 << p[i] for i in range(n) if word >> i & 1)
+        if image(u) == u and all(image(cell) == cell for cell in cells):
+            perms.append(image)
+    orbits = []
+    seen = set()
+    for v in range(1 << n):
+        if v not in seen:
+            orbit = sorted({image(v) for image in perms})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+@st.composite
+def cell_partitions(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                           min_size=n, max_size=n))
+    cells = [sum(1 << i for i in range(n) if labels[i] == j) for j in range(n)]
+    return n, [cell for cell in cells if cell], draw(st.integers(0, (1 << n) - 1))
+
+
+class TestCoordinateOrbits:
+    @settings(max_examples=200, deadline=None)
+    @given(cell_partitions())
+    def test_popcounts_per_cell_are_the_orbits(self, case):
+        n, cells, u = case
+        refined = dom._refine(cells, u)
+        # each part lies in one cell, inside or outside supp(u)
+        assert sum(refined) == sum(cells) == (1 << n) - 1
+        assert all(any(not part & ~cell for cell in cells) for part in refined)
+        assert all(part & u in (0, part) for part in refined)
+        assert dom.coordinate_orbits(refined, range(1 << n)) == \
+            young_orbits_by_brute_force(n, cells, u)
+
+    def test_orbits_keep_the_given_order(self):
+        # Q_3, one cell: the orbits are the weights, in order of first word
+        assert dom.coordinate_orbits([0b111], [6, 1, 0, 3, 4, 7, 2]) == \
+            [[6, 3], [1, 4, 2], [0], [7]]
 
 
 class CountingRows(list):
@@ -444,6 +525,32 @@ class TestDeadline:
             # phases and the first search node of each part, and the last
             # reading for elapsed_s
             assert clock.now <= cut + 2 + 2 * 2 + 1
+
+    def test_orbital_search_stops_at_the_deadline(self, clock, monkeypatch):
+        gc86 = hc.build_hamming_graph(8, 6, complemented=True)  # connected, 256 vertices
+        orbit_calls = []
+        orbits = dom.coordinate_orbits
+
+        def counting_orbits(cells, order):
+            orbit_calls.append(cells)
+            return orbits(cells, order)
+        monkeypatch.setattr(dom, "coordinate_orbits", counting_orbits)
+        for cut in (0, 100, 300, 600, 1000, 2000, 5000):
+            clock.now = 0
+            orbit_calls.clear()
+            res = dom.exact_gamma_t(gc86, time_limit=cut + 0.5)
+            assert res.status == "bounds_only", cut
+            assert res.lower == dom.trivial_lower_bound(gc86) == 29
+            assert res.upper == len(res.witness) and dom.is_total_dominating(gc86, res.witness)
+            # the reading that starts the clock, then past the deadline one
+            # late reading in each of the split, the greedy and the first
+            # search node, and the last one for elapsed_s; a cut inside the
+            # search leaves one late reading, in the node that stops
+            assert clock.now <= cut + 1 + 3 + 1
+            if res.nodes > 1:
+                assert clock.now == cut + 1 + 1 + 1, cut
+        # the last cut stops inside the orbital search
+        assert res.nodes > 1000 and orbit_calls
 
 
 class TestTightExamples:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,22 @@ class TestBuildHammingGraph:
                 for v in range(g.m):
                     assert g.row(v) & gc.row(v) == 0
                     assert g.row(v) | gc.row(v) == full ^ (1 << v)
+
+    def test_rows_follow_the_distance_predicate(self):
+        # every row for n <= 7; beyond, a seeded sample of rows, which are
+        # built from one another, plus the last
+        rng = random.Random(10)
+        for n in range(1, 11):
+            m = 1 << n
+            sample = range(m) if n <= 7 else sorted(rng.sample(range(m), 24) + [m - 1])
+            for r in range(n + 1):
+                g = hc.build_hamming_graph(n, r)
+                gc = hc.build_hamming_graph(n, r, complemented=True)
+                for v in sample:
+                    near = sum(1 << w for w in range(m)
+                               if w != v and hc.hamming_distance(v, w) <= r)
+                    far = sum(1 << w for w in range(m) if hc.hamming_distance(v, w) > r)
+                    assert (g.row(v), gc.row(v)) == (near, far), (n, r, v)
 
     @given(st.integers(min_value=0, max_value=255),
            st.integers(min_value=0, max_value=255),
