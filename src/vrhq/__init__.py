@@ -25,7 +25,7 @@ from .domination import (DominationResult, exact_gamma_t, gamma_t_exhaustive,
 from .homology import (BettiProfile, BoundaryMatrix, betti_gf2,
                        boundary_matrix, cycle_is_gf2_boundary,
                        reduced_homology, smith_normal_form)
-from .hypercube import (Graph, HammingSpec, antipode, build_hamming_graph,
+from .hypercube import (Graph, antipode, build_hamming_graph, cube_dimension,
                         degree_profile, hamming_distance, read_dimacs,
                         write_dimacs)
 
@@ -42,6 +42,6 @@ __all__ = [
     "trivial_lower_bound",
     "BettiProfile", "BoundaryMatrix", "betti_gf2", "boundary_matrix",
     "cycle_is_gf2_boundary", "reduced_homology", "smith_normal_form",
-    "Graph", "HammingSpec", "antipode", "build_hamming_graph",
+    "Graph", "antipode", "build_hamming_graph", "cube_dimension",
     "degree_profile", "hamming_distance", "read_dimacs", "write_dimacs",
 ]

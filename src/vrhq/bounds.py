@@ -73,9 +73,6 @@ class ExactRatio:
     def floor(self) -> int:
         return self.numerator // self.denominator
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
 
 @dataclass(frozen=True)
 class ConnectivityBound:

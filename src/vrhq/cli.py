@@ -219,7 +219,7 @@ def _cmd_complex(args):
 
 
 def _cmd_homology(args):
-    if args.up_to is None or args.up_to < 0:
+    if args.up_to < 0:
         raise ValueError("--up-to must be >= 0")
     snf_cap = _resolve_cap(args.snf_cap, "VRHQ_SNF_CAP", homology.DEFAULT_SNF_CAP)
     if args.complex_file is not None:

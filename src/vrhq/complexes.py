@@ -45,10 +45,6 @@ class SimplicialComplex:
             self._index[d] = {s: i for i, s in enumerate(self.simplices(d))}
         return self._index[d]
 
-    def contains(self, simplex) -> bool:
-        s = tuple(simplex)
-        return s in self.index_map(len(s) - 1)
-
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(bucket) for bucket in self._by_dim)
 

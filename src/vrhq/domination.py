@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bitops import dense_bits, iter_bits, mask_of
 from .errors import IsolatedVertex, TooLarge
-from .hypercube import Graph
+from .hypercube import Graph, cube_dimension
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 # Set-up phases check a deadline once per this many bits of bitset work:
@@ -24,6 +24,17 @@ EXHAUSTIVE_VERTEX_LIMIT = 20
 # Small graphs finish these phases at any time limit, and on large ones the
 # clock is read well under a millisecond apart.
 CHECK_BITS = 1 << 20
+
+
+def _expiry(deadline, m):
+    """The clock of a set-up phase that reads m-bit rows: a function to call
+    once per step, true once `deadline` has passed.  It reads the clock only
+    every CHECK_BITS // m calls, and never without a deadline."""
+    if deadline is None:
+        return lambda: False
+    stride = max(1, CHECK_BITS // m)
+    steps = itertools.count(1)
+    return lambda: not next(steps) % stride and time.monotonic() > deadline
 
 
 def _require_no_isolated(g: Graph):
@@ -74,11 +85,9 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
     # one int per vertex rather than a tuple keeps the heap small
     heap = [(m - row.bit_count()) * m + v for v, row in enumerate(rows)]
     heapq.heapify(heap)
-    stride = max(1, CHECK_BITS // m)
-    pops = 0
+    expired = _expiry(deadline, m)
     while dominated != full:
-        pops += 1
-        if deadline is not None and not pops % stride and time.monotonic() > deadline:
+        if expired():
             return frozenset(dense_bits(chosen)).union(
                 (row & -row).bit_length() - 1 for row in dense_bits(full ^ dominated, rows))
         v = heapq.heappop(heap) % m
@@ -126,17 +135,14 @@ def _components(rows, deadline=None) -> list[int]:
     form one last part, which need not be connected."""
     unseen = (1 << len(rows)) - 1
     comps = []
-    stride = max(1, CHECK_BITS // len(rows))
-    steps = 0
+    expired = _expiry(deadline, len(rows))
     while unseen:
         comp = unseen & -unseen
         frontier = comp
         while frontier:
             reach = 0
             while frontier:
-                steps += 1
-                if (deadline is not None and not steps % stride
-                        and time.monotonic() > deadline):
+                if expired():
                     comps.append(unseen)
                     return comps
                 low = frontier & -frontier
@@ -271,14 +277,15 @@ def coordinate_orbits(cells, order):
     return list(orbits.values())
 
 
-def _search(g: Graph, transitive: bool, deadline):
+def _search(g: Graph, deadline):
     """Branch-and-bound on one graph; returns (lower, size, witness mask,
     nodes, timed_out), with lower == size when the search finished.
 
-    When g is a whole Hamming graph on Q_n (`g.hamming` set and m = 2^n),
-    its vertices are the words of Q_n and every coordinate permutation is
-    an automorphism; once vertex 0 is fixed these are the symmetries left.
-    The search then branches on orbits (orbital branching, Ostrowski,
+    When `cube_dimension(rows)` is n > 0, a set-up phase under the deadline
+    (cut short, it claims no symmetry), the automorphisms of Q_n preserve g:
+    the translations let the root fix vertex 0, and the coordinate
+    permutations are the symmetries left.  The search then branches on
+    orbits (orbital branching, Ostrowski,
     Linderoth, Rossi and Smriglio, *Math. Programming* 2011).  Each node
     carries a partition of the n coordinates into cells, one cell at the
     root, and its state (chosen and selectable vertices) is invariant under
@@ -293,14 +300,13 @@ def _search(g: Graph, transitive: bool, deadline):
     t in T & O_i.  Some h in H_u maps t to c_i.  h is an automorphism that
     keeps the chosen set, the selectable set and every orbit, so h(T) is a
     solution of the same size that holds c_i and misses O_1..O_{i-1}: it
-    lies in child i's subtree.  Once every cell is a single coordinate the
-    orbits are single vertices and the node branches as on any graph.
+    lies in child i's subtree.  Once every cell is a single coordinate, or
+    with no symmetry, the orbits are single vertices.
     """
     rows = g.rows()
     m = g.m
     full = (1 << m) - 1
     delta = g.max_degree
-    n = g.hamming.n if g.hamming is not None and m == 1 << g.hamming.n else 0
 
     incumbent = greedy_upper_bound(g, deadline)
     best_size = len(incumbent)
@@ -314,8 +320,8 @@ def _search(g: Graph, transitive: bool, deadline):
     timed_out = False
 
     def dfs(size, chosen, dominated, selectable, cap, cells):
-        # cells is the coordinate partition on the orbital path, None once
-        # it is discrete or off that path
+        # cells is the coordinate partition, None once it is discrete or
+        # with no symmetry
         nonlocal best_size, best_mask, nodes, timed_out
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -340,32 +346,28 @@ def _search(g: Graph, transitive: bool, deadline):
         sel = selectable
         if cells is not None:
             cells = _refine(cells, u)
-        if cells is None or len(cells) == n:
-            for v in order:
+            if len(cells) == n:
+                cells = None
+        for orbit in zip(order) if cells is None else coordinate_orbits(cells, order):
+            c = orbit[0]
+            sel &= ~(1 << c)
+            live[c] = 0
+            dfs(size + 1, chosen | (1 << c), dominated | rows[c], sel, cap,
+                cells and _refine(cells, c))
+            if timed_out:
+                break
+            # the rest of the orbit stays selectable in c's subtree only
+            for v in orbit[1:]:
                 sel &= ~(1 << v)
                 live[v] = 0
-                dfs(size + 1, chosen | (1 << v), dominated | rows[v], sel, cap, None)
-                if timed_out:
-                    break
-        else:
-            for orbit in coordinate_orbits(cells, order):
-                c = orbit[0]
-                live[c] = 0
-                sub = _refine(cells, c)
-                dfs(size + 1, chosen | (1 << c), dominated | rows[c], sel & ~(1 << c), cap,
-                    sub if len(sub) < n else None)
-                if timed_out:
-                    break
-                for v in orbit:
-                    sel &= ~(1 << v)
-                    live[v] = 0
         for v in order:
             live[v] = rows[v]
 
     if best_size > lower:
-        if transitive:
+        n = cube_dimension(rows, _expiry(deadline, m))
+        if n:
             live[0] = 0
-            dfs(1, 1, rows[0], full ^ 1, m * delta, [(1 << n) - 1] if n > 1 else None)
+            dfs(1, 1, rows[0], full ^ 1, m * delta, [(1 << n) - 1])
         else:
             dfs(0, 0, 0, full, m * delta, None)
     if not timed_out:
@@ -385,26 +387,28 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     and coverage bounds of `branch_or_prune`.  Every prune cuts only subtrees
     with no set smaller than the incumbent, so the incumbent changes at the
     same leaves whichever of them fire, and a stronger prune changes `nodes`
-    but never the value or the witness.  On vertex-transitive inputs every
-    optimum can be XOR-translated to contain vertex 0, so the root fixes it.
-    On a whole Hamming graph on Q_n the search also branches on orbits of
-    the coordinate permutations (see `_search`).  That skips subtrees that
-    hold only images of sets found elsewhere, so it cuts `nodes` and keeps
-    the value; the witness is a minimum set either way, though not always
-    the one the search without orbits would return.
+    but never the value or the witness.  When the rows show the symmetry of
+    Q_n (`cube_dimension`: G_{n,r} or its complement in its natural
+    labelling), the root fixes vertex 0 and the search branches on orbits
+    of the coordinate permutations (see `_search`).  That skips subtrees
+    that hold only images of sets found elsewhere, so it cuts `nodes` and
+    keeps the value; the witness is a minimum set either way, though not
+    always the one the search without symmetry would return.
 
     gamma_t is additive over connected components, so a disconnected graph
     is solved one component at a time under the shared deadline, and the
-    bounds, witnesses and node counts are summed.
+    bounds, witnesses and node counts are summed; each component gets the
+    symmetry its own rows show.
 
     With no time limit the result is exact.  The deadline covers everything
-    after the graph is built: the component split and the greedy incumbent
-    read the clock once per CHECK_BITS bits of bitset work, and the search at
-    every node.  On expiry the result has status "bounds_only", with the
-    incumbent (completed cheaply if the greedy was cut short) as `upper`
-    and, per component, the trivial bound ceil(m_i / Delta_i) (or the exact
-    value, for a component that finished) summed into `lower`.  A split cut
-    short leaves the unsplit rest as one part.
+    after the graph is built: the component split, the greedy incumbent and
+    the symmetry check read the clock once per CHECK_BITS bits of bitset
+    work, and the search at every node.  On expiry the result has status
+    "bounds_only", with the incumbent (completed cheaply if the greedy was
+    cut short) as `upper` and, per component, the trivial bound
+    ceil(m_i / Delta_i) (or the exact value, for a component that finished)
+    summed into `lower`.  A split cut short leaves the unsplit rest as one
+    part.
     """
     _require_no_isolated(g)
     start = time.monotonic()
@@ -414,16 +418,13 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     if len(comps) == 1:
         parts = [(range(g.m), g)]
     else:
-        # a component of a vertex-transitive graph is vertex-transitive, so
-        # each component may fix its own lowest vertex
         parts = [(verts, _induced(rows, verts))
                  for verts in (list(iter_bits(comp)) for comp in comps)]
     lower = upper = nodes = 0
     witness = set()
     timed_out = False
     for verts, part in parts:
-        part_lower, size, mask, part_nodes, part_timed_out = _search(
-            part, g.vertex_transitive, deadline)
+        part_lower, size, mask, part_nodes, part_timed_out = _search(part, deadline)
         lower += part_lower
         upper += size
         nodes += part_nodes

@@ -9,8 +9,8 @@ representation.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .bitops import iter_bits
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
@@ -34,29 +34,15 @@ def antipode(v: int, n: int) -> int:
     return v ^ ((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class HammingSpec:
-    """Construction recipe for a Hamming graph on Q_n.
-
-    complemented=False: edges between distinct labels at distance <= r.
-    complemented=True:  edges at distance >= r + 1.
-    """
-
-    n: int
-    r: int
-    complemented: bool = False
-
-
 class Graph:
     """Immutable simple graph on vertices 0..m-1 with bitset adjacency rows."""
 
-    __slots__ = ("m", "_rows", "_max_degree", "hamming")
+    __slots__ = ("m", "_rows", "_max_degree")
 
-    def __init__(self, rows, hamming=None, validate=True):
+    def __init__(self, rows, validate=True):
         self.m = len(rows)
         self._rows = list(rows)
         self._max_degree = None
-        self.hamming = hamming
         if validate:
             self._validate()
 
@@ -113,28 +99,27 @@ class Graph:
     def has_isolated_vertex(self) -> bool:
         return any(row == 0 for row in self._rows)
 
-    @property
-    def vertex_transitive(self) -> bool:
-        # Hamming graphs are vertex-transitive under XOR translation; used by
-        # the exact solver for root symmetry breaking.
-        return self.hamming is not None
-
     def complement(self) -> "Graph":
         full = (1 << self.m) - 1
         rows = [full & ~row & ~(1 << v) for v, row in enumerate(self._rows)]
-        spec = None
-        if self.hamming is not None:
-            spec = HammingSpec(self.hamming.n, self.hamming.r, not self.hamming.complemented)
-        return Graph(rows, hamming=spec, validate=False)
+        return Graph(rows, validate=False)
 
 
-def _halfspace_pattern(n: int, b: int) -> int:
-    """Bitset of positions j in [0, 2^n) whose b-th index bit is zero."""
-    block = (1 << (1 << b)) - 1
-    period = 2 << b
-    reps = (1 << n) // period
-    unit = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
-    return block * unit
+def _halfspace_patterns(n: int) -> list[int]:
+    """For each index bit b < n, the bitset of positions j in [0, 2^n) whose
+    b-th bit is zero: 2^b ones, 2^b zeros, repeated."""
+    ones = (1 << (1 << n)) - 1
+    return [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
+
+
+def _translated(rows, v: int, patterns) -> int:
+    """rows[v ^ low], low the lowest set bit of v, with its positions permuted
+    by j -> j XOR low: one half-space swap.  If each row w < v is row 0
+    XOR-translated by w, this is row 0 translated by v."""
+    low = v & -v
+    p = patterns[low.bit_length() - 1]
+    row = rows[v ^ low]
+    return ((row & p) << low) | ((row >> low) & p)
 
 
 def build_hamming_graph(n: int, r: int, complemented: bool = False,
@@ -142,10 +127,8 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False,
     """Materialize G_{n,r} (distance <= r) or its complement (distance >= r+1).
 
     The graph is vertex-transitive: row v is the row of vertex 0 with its
-    bit positions permuted by j -> j XOR v.  Row v is built from row
-    v XOR 2^b, b the lowest set bit of v, by one swap of the half-spaces
-    on index bit b, which costs O(2^n / wordsize) per row instead of a
-    popcount per pair.
+    bit positions permuted by j -> j XOR v, built from a lower row by one
+    half-space swap (`_translated`) instead of a popcount per pair.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -160,14 +143,33 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False,
         d = w.bit_count()
         if (d > r) if complemented else (d <= r):
             base |= 1 << w
-    patterns = [_halfspace_pattern(n, b) for b in range(n)]
+    patterns = _halfspace_patterns(n)
     rows = [base]
     for v in range(1, 1 << n):
-        low = v & -v
-        p = patterns[low.bit_length() - 1]
-        row = rows[v ^ low]
-        rows.append(((row & p) << low) | ((row >> low) & p))
-    return Graph(rows, hamming=HammingSpec(n, r, complemented), validate=False)
+        rows.append(_translated(rows, v, patterns))
+    return Graph(rows, validate=False)
+
+
+def cube_dimension(rows, expired=None) -> int:
+    """n if the automorphisms of Q_n preserve the graph with these rows (so
+    G_{n,r} and its complement), else 0: m = 2^n, each row v is row 0
+    XOR-translated by v (checked as `_translated(rows, v)`), and row 0 is a
+    union of weight classes, so coordinate permutations preserve it.
+
+    `expired`, if given, is called before each row is compared; once it is
+    true the check stops and returns 0, which claims no symmetry."""
+    m = len(rows)
+    if m < 2 or m & (m - 1):
+        return 0
+    n = m.bit_length() - 1
+    weights = Counter(w.bit_count() for w in iter_bits(rows[0]))
+    if any(count != math.comb(n, d) for d, count in weights.items()):
+        return 0
+    patterns = _halfspace_patterns(n)
+    for v in range(1, m):
+        if expired is not None and expired() or rows[v] != _translated(rows, v, patterns):
+            return 0
+    return n
 
 
 def degree_profile(g: Graph) -> dict[int, int]:

@@ -112,9 +112,7 @@ _PROJECTIONS = {
 
 
 def encode(envelope, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(envelope, indent=2) + "\n"
-    if envelope["status"] != "ok":
+    if fmt == "json" or envelope["status"] != "ok":
         # tabular formats still need to surface failures
         return json.dumps(envelope, indent=2) + "\n"
     headers, rows = _PROJECTIONS[envelope["command"]](envelope["result"])

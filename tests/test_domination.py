@@ -189,8 +189,8 @@ class TestExactGammaT:
 
     def test_symmetry_fixing_does_not_change_the_value(self):
         gc42 = hc.build_hamming_graph(4, 2, complemented=True)
-        plain = hc.Graph(gc42.rows(), validate=False)  # same graph, no transitivity flag
-        assert gc42.vertex_transitive and not plain.vertex_transitive
+        plain = relabelled(gc42, 0)  # same graph, labels that show no symmetry
+        assert hc.cube_dimension(gc42.rows()) == 4 and hc.cube_dimension(plain.rows()) == 0
         assert dom.exact_gamma_t(gc42).exact == dom.exact_gamma_t(plain).exact == \
             dom.gamma_t_exhaustive(gc42)
 
@@ -216,14 +216,16 @@ class TestExactGammaT:
         # the open-packing prune cuts subtrees that hold no set smaller than
         # the incumbent, so the incumbent changes at the same leaves: same
         # value and witness as the frozen reference, in no more nodes
-        cases = [(g, False) for g in small_corpus() if is_connected(g)]
+        # K2 and K4 are G(1,1) and G(2,2) in any labelling
+        cases = [(g, g.m in (2, 4) and g.edge_count() == g.m * (g.m - 1) // 2)
+                 for g in small_corpus() if is_connected(g)]
         cases += [(hc.build_hamming_graph(n, r, complemented=True), True)
                   for n in range(1, 6) for r in range(n - 1)]
         cases += [(hc.build_hamming_graph(6, r, complemented=True), True) for r in range(4)]
         cases.append((relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3), False))
         cases.append((gc64, True))
         for g, transitive in cases:
-            assert g.vertex_transitive == transitive
+            assert (hc.cube_dimension(g.rows()) > 0) == transitive
             res = gc64_exact if g is gc64 else dom.exact_gamma_t(g)
             value, witness, nodes = reference_gamma_t(g.rows(), transitive)
             assert (res.exact, res.witness) == (value, witness)
@@ -279,7 +281,7 @@ class TestExactGammaT:
 
     def test_components_are_solved_apart(self):
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
-        one = dom.exact_gamma_t(hc.Graph(gc53.rows()))  # unflagged: no root fixing
+        one = dom.exact_gamma_t(gc53)
         two = disjoint_union(gc53, gc53)
         res = dom.exact_gamma_t(two)
         assert res.status == "exact" and res.exact == 2 * one.exact == 14
@@ -288,22 +290,37 @@ class TestExactGammaT:
         # labels map back to the union: seven witness vertices in each copy
         assert len([v for v in res.witness if v < 32]) == 7
 
-    def test_flagged_components_fix_their_own_root(self):
-        # the Hamming flag only marks vertex-transitivity, which the union of
-        # two copies of a vertex-transitive graph keeps; its 64 vertices are
-        # not the words of Q_5, so its components take the search without
-        # orbits, which a single Gc(5,3) does not
+    def test_components_get_the_symmetry_they_have(self):
+        # the union of two copies of Gc(5,3) shows no symmetry of Q_6, but
+        # each component, relabelled to 0..31, shows Q_5's; a relabelled
+        # copy shows none and takes the generic search inside the same union
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
-        one = dom.exact_gamma_t(gc53)
-        assert one.nodes == 39
-        two = hc.Graph(disjoint_union(gc53, gc53).rows(), hamming=gc53.hamming)
-        res = dom.exact_gamma_t(two)
-        assert res.exact == 14 and res.nodes == 2 * 113
-        assert dom.is_total_dominating(two, res.witness)
-        # connected, but a flag for Q_5 on 64 vertices: root fixing only
-        misflagged = hc.Graph(hc.build_hamming_graph(6, 4, complemented=True).rows(),
-                              hamming=gc53.hamming)
-        assert dom.exact_gamma_t(misflagged).nodes == 10094
+        shuffled = relabelled(gc53, 3)
+        assert dom.exact_gamma_t(gc53).nodes == 39
+        assert dom.exact_gamma_t(shuffled).nodes == 430
+        for other, nodes in ((gc53, 39), (shuffled, 430)):
+            g = disjoint_union(gc53, other)
+            assert hc.cube_dimension(g.rows()) == 0
+            res = dom.exact_gamma_t(g)
+            assert res.exact == 14 and res.nodes == 39 + nodes
+            assert dom.is_total_dominating(g, res.witness)
+
+    def test_symmetry_is_never_claimed_for_random_graphs(self):
+        # a flag on these rows once claimed Q_4's symmetry for them: the
+        # tenth 16-vertex graph then solved to 7 instead of 6
+        graphs = [hc.Graph.from_edges(m, edges) for m, edges in
+                  random_isolated_free_graphs(count=400, max_m=16, seed=5) if m == 16]
+        values = []
+        for g in graphs:
+            assert hc.cube_dimension(g.rows()) == 0
+            values.append(dom.exact_gamma_t(g).exact)
+            assert values[-1] == dom.gamma_t_exhaustive(g)
+        assert len(graphs) == 44 and values[9] == 6
+
+    def test_dimacs_copy_in_natural_labelling_keeps_the_symmetry(self, gc64, gc64_exact):
+        res = dom.exact_gamma_t(hc.read_dimacs(hc.write_dimacs(gc64)))
+        assert (res.exact, res.witness, res.nodes) == \
+            (gc64_exact.exact, gc64_exact.witness, 2782)
 
     def test_bounds_only_on_disconnected_graph(self):
         gc86 = hc.build_hamming_graph(8, 6, complemented=True)  # deep search
@@ -521,10 +538,10 @@ class TestDeadline:
             assert res.status == "bounds_only", cut
             assert dom.trivial_lower_bound(g) <= res.lower <= 4 + 32 <= res.upper
             assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
-            # past the deadline: one late reading in each of the set-up
-            # phases and the first search node of each part, and the last
-            # reading for elapsed_s
-            assert clock.now <= cut + 2 + 2 * 2 + 1
+            # past the deadline: one late reading in the split, in each
+            # part's greedy, symmetry check and first search node, and the
+            # last reading for elapsed_s
+            assert clock.now <= cut + 2 + 2 * 3 + 1
 
     def test_orbital_search_stops_at_the_deadline(self, clock, monkeypatch):
         gc86 = hc.build_hamming_graph(8, 6, complemented=True)  # connected, 256 vertices
@@ -543,14 +560,44 @@ class TestDeadline:
             assert res.lower == dom.trivial_lower_bound(gc86) == 29
             assert res.upper == len(res.witness) and dom.is_total_dominating(gc86, res.witness)
             # the reading that starts the clock, then past the deadline one
-            # late reading in each of the split, the greedy and the first
-            # search node, and the last one for elapsed_s; a cut inside the
-            # search leaves one late reading, in the node that stops
-            assert clock.now <= cut + 1 + 3 + 1
+            # late reading in each of the split, the greedy, the symmetry
+            # check and the first search node, and the last one for
+            # elapsed_s; a cut inside the search leaves one late reading, in
+            # the node that stops
+            assert clock.now <= cut + 1 + 4 + 1
             if res.nodes > 1:
                 assert clock.now == cut + 1 + 1 + 1, cut
         # the last cut stops inside the orbital search
         assert res.nodes > 1000 and orbit_calls
+
+    def test_symmetry_check_cut_short_claims_no_symmetry(self, clock, monkeypatch):
+        gc64 = hc.build_hamming_graph(6, 4, complemented=True)
+        checks, orbit_calls = [], []
+        check, orbits = dom.cube_dimension, dom.coordinate_orbits
+
+        def recording_check(rows, expired):
+            start = clock.now
+            n = check(rows, expired)
+            checks.append((start, clock.now, n))
+            return n
+
+        def counting_orbits(cells, order):
+            orbit_calls.append(cells)
+            return orbits(cells, order)
+        monkeypatch.setattr(dom, "cube_dimension", recording_check)
+        monkeypatch.setattr(dom, "coordinate_orbits", counting_orbits)
+        clock.now = 0
+        assert dom.exact_gamma_t(gc64, time_limit=1e9).nodes == 2782
+        [(start, end, n)] = checks
+        assert n == 6 and end - start == 63  # one reading per row after row 0
+        for cut, n in ((start + 10, 0), (end + 100, 6)):
+            clock.now = 0
+            checks.clear()
+            orbit_calls.clear()
+            res = dom.exact_gamma_t(gc64, time_limit=cut + 0.5)
+            assert res.status == "bounds_only" and checks[0][2] == n, cut
+            assert bool(orbit_calls) == (n > 0)
+            assert res.upper == len(res.witness) and dom.is_total_dominating(gc64, res.witness)
 
 
 class TestTightExamples:

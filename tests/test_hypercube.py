@@ -136,11 +136,20 @@ class TestBuildHammingGraph:
         with pytest.raises(ValueError):
             hc.build_hamming_graph(3, -1)
 
-    def test_metadata(self):
-        g = hc.build_hamming_graph(3, 1, complemented=True)
-        assert g.hamming == hc.HammingSpec(3, 1, True)
-        assert g.vertex_transitive
-        assert not figure_graph().vertex_transitive
+    def test_cube_dimension(self):
+        for n in range(1, 9):
+            for r in range(n + 1):
+                for complemented in (False, True):
+                    g = hc.build_hamming_graph(n, r, complemented=complemented)
+                    assert hc.cube_dimension(g.rows()) == n, (n, r, complemented)
+        assert hc.cube_dimension([]) == hc.cube_dimension([0]) == 0
+        assert hc.cube_dimension(figure_graph().rows()) == 0  # m is not a power of two
+        # row 0 of the 4-cycle 0-1-2-3 is not a union of weight classes;
+        # row 0 of the path 1-0-2-3 is, but row 1 is not its translate
+        for edges in ([(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (0, 2), (2, 3)]):
+            assert hc.cube_dimension(hc.Graph.from_edges(4, edges).rows()) == 0
+        gc = hc.build_hamming_graph(3, 1, complemented=True)
+        assert hc.cube_dimension(gc.rows(), expired=lambda: True) == 0
 
 
 class TestGraph:
@@ -176,9 +185,7 @@ class TestGraph:
         assert gc.has_edge(1, 2) and not gc.has_edge(0, 1)
         back = gc.complement()
         assert back.rows() == g.rows()
-        # complement of a Hamming graph flips the complemented flag
         h = hc.build_hamming_graph(3, 1)
-        assert h.complement().hamming == hc.HammingSpec(3, 1, True)
         assert h.complement().rows() == hc.build_hamming_graph(3, 1, complemented=True).rows()
 
 

@@ -1,9 +1,10 @@
-"""The benchmark's tracer still composes Betti numbers from vrhq's layer calls.
+"""The benchmark's tracer still reads its layer metrics off vrhq's calls.
 
-`bench/tracing.py` wraps public homology functions by name and rebuilds the
-reduced Betti numbers from the ranks its wrappers record, in degree order.
-These tests run it unchanged against the current program, so a change that
-breaks the traced benchmark fails here too.
+`bench/tracing.py` wraps public functions by name.  It rebuilds the reduced
+Betti numbers from the ranks its homology wrappers record, in degree order,
+and reads the search nodes off the `exact_gamma_t` result.  These tests run
+it unchanged against the current program, so a change that breaks the
+traced benchmark fails here too.
 """
 
 import contextlib
@@ -43,3 +44,16 @@ def test_composed_betti_matches_printed(tracing, coefficients):
     assert all(type(s["bytes"]) is int for s in packed)
     if not coefficients:
         assert len(packed) == up_to + 2
+
+
+def test_gamma_t_spans_match_printed(tracing):
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    out = io.StringIO()
+    with tracing.Patched(tracer, vrhq), contextlib.redirect_stdout(out):
+        assert cli.main(["gamma-t", "--n", "5", "--r", "3"]) == 0
+    printed = json.loads(out.getvalue())["result"]["nodes"]
+    [solve] = [s for s in tracer.spans if s["name"] == "domination.exact_gamma_t"]
+    assert solve["nodes"] == printed == 39
+    greedy = [s for s in tracer.spans if s["name"] == "domination.greedy_upper_bound"]
+    assert greedy and all(s["parent"] == solve["id"] for s in greedy)
