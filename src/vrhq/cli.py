@@ -55,16 +55,22 @@ def _parse_labels(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad vertex list {text!r}") from None
 
 
-def _resolve_cap(flag_value, env_name, default):
+def _resolve_cap(flag_value, flag, env_name, default):
+    """The flag's value, else the environment variable's, else the default.
+    A cap of 0 is legal; one below 0 is a usage error, named by its source."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name)
-    if env is not None:
+        value, source = flag_value, flag
+    else:
+        env = os.environ.get(env_name)
+        if env is None:
+            return default
         try:
-            return int(env)
+            value, source = int(env), env_name
         except ValueError:
             raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
-    return default
+    if value < 0:
+        raise ValueError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +214,7 @@ def _cmd_gamma_t(args):
 
 
 def _cmd_complex(args):
-    cap = _resolve_cap(args.max_simplices, "VRHQ_MAX_SIMPLICES",
+    cap = _resolve_cap(args.max_simplices, "--max-simplices", "VRHQ_MAX_SIMPLICES",
                        complexes.DEFAULT_MAX_SIMPLICES)
     k = complexes.vietoris_rips(args.n, args.r, args.max_dim, max_simplices=cap)
     complexes.write_complex_file(k, args.out)
@@ -221,7 +227,8 @@ def _cmd_complex(args):
 def _cmd_homology(args):
     if args.up_to < 0:
         raise ValueError("--up-to must be >= 0")
-    snf_cap = _resolve_cap(args.snf_cap, "VRHQ_SNF_CAP", homology.DEFAULT_SNF_CAP)
+    snf_cap = _resolve_cap(args.snf_cap, "--snf-cap", "VRHQ_SNF_CAP",
+                           homology.DEFAULT_SNF_CAP)
     if args.complex_file is not None:
         if args.n is not None or args.r is not None:
             raise ValueError("--complex excludes --n/--r")
@@ -232,7 +239,7 @@ def _cmd_homology(args):
     else:
         if args.n is None or args.r is None:
             raise ValueError("either --complex or both --n and --r are required")
-        cap = _resolve_cap(args.max_simplices, "VRHQ_MAX_SIMPLICES",
+        cap = _resolve_cap(args.max_simplices, "--max-simplices", "VRHQ_MAX_SIMPLICES",
                            complexes.DEFAULT_MAX_SIMPLICES)
         k = complexes.vietoris_rips(args.n, args.r, args.up_to + 1, max_simplices=cap)
         source = {"kind": "hamming", "n": args.n, "r": args.r}

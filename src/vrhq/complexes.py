@@ -24,7 +24,7 @@ WITNESS_ENUMERATION_CEILING = 4
 class SimplicialComplex:
     """Simplices graded by dimension 0..max_dim_requested, closed under faces."""
 
-    __slots__ = ("n_vertices", "max_dim_requested", "_by_dim", "_index")
+    __slots__ = ("n_vertices", "max_dim_requested", "_by_dim")
 
     def __init__(self, n_vertices, max_dim_requested, by_dim):
         if len(by_dim) != max_dim_requested + 1:
@@ -32,7 +32,6 @@ class SimplicialComplex:
         self.n_vertices = n_vertices
         self.max_dim_requested = max_dim_requested
         self._by_dim = [list(bucket) for bucket in by_dim]
-        self._index = {}
 
     def simplices(self, d: int) -> list[tuple[int, ...]]:
         if 0 <= d <= self.max_dim_requested:
@@ -40,10 +39,9 @@ class SimplicialComplex:
         return []
 
     def index_map(self, d: int) -> dict[tuple[int, ...], int]:
-        """Canonical simplex -> column/row position for dimension d (cached)."""
-        if d not in self._index:
-            self._index[d] = {s: i for i, s in enumerate(self.simplices(d))}
-        return self._index[d]
+        """Canonical simplex -> column/row position for dimension d, built
+        afresh: homology asks for each degree's map once."""
+        return {s: i for i, s in enumerate(self.simplices(d))}
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(bucket) for bucket in self._by_dim)
@@ -96,9 +94,11 @@ def _clique_complex(rows, m, max_dim, max_simplices):
                 e ^= low
                 above_w = full ^ ((1 << (w + 1)) - 1)
                 nxt.append((simplex + (w,), ext & rows[w] & above_w))
+            # checked per frontier simplex, so an over-cap dimension is
+            # never held whole
+            if total + len(nxt) > cap:
+                raise TooLarge(f"simplex count exceeds the cap of {cap}")
         total += len(nxt)
-        if total > cap:
-            raise TooLarge(f"simplex count exceeds the cap of {cap}")
         by_dim.append([s for s, _ in nxt])
         frontier = nxt
         if not nxt:

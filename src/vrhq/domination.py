@@ -162,32 +162,27 @@ def _induced(rows, verts) -> Graph:
                  validate=False)
 
 
-def branch_or_prune(rows, live, undom, selectable, k):
-    """One search node: (order, cap, u), the candidates to branch over, best
-    first, the cap its children start from, and the undominated vertex u
-    whose candidates they are; None when no k more picks from `selectable`
-    can dominate every vertex of `undom` (which is not empty).
+def branch_or_prune(rows, undom, selectable, k):
+    """One search node: (order, u), the candidates to branch over, best
+    first, and the undominated vertex u whose candidates they are; None
+    when no k more picks from `selectable` can dominate every vertex of
+    `undom` (which is not empty).  This is the only place the search prunes.
 
-    `live[v]` must be rows[v] for v in `selectable` and 0 otherwise.  A
-    pick v covers its coverage (rows[v] & undom).bit_count().  Two lower
+    A pick v covers its coverage (rows[v] & undom).bit_count().  Two lower
     bounds on the picks still needed are tested against k:
 
     * Open packing (rho°(G) <= gamma_t(G); Henning-Yeo, *Total Domination
       in Graphs*, 2013).  Undominated vertices whose candidate sets
       rows[u] & selectable are pairwise disjoint each need a pick of their
-      own.  They are packed greedily by ascending candidate count, lowest
-      index first on ties, so the first vertex packed is the fail-first
-      branch vertex.  This needs no coverages and runs before they are
-      computed.
+      own, so more than k of them prune, as does k <= 0.  They are packed
+      greedily by ascending candidate count, lowest index first on ties, so
+      the first vertex packed is the fail-first branch vertex.  This needs
+      no coverages and runs before they are computed.
     * Coverage.  Any k picks hold one vertex of each of the p packed sets,
       and those p are distinct, so the picks cover at most the largest
       coverage of each packed set plus the k - p largest coverages of the
-      other vertices.  That is a sum of k distinct coverages, so it is never
-      above the k largest, the bound this replaces.
-
-    The cap handed down is the sum of the k - 1 largest coverages: coverages
-    only shrink going down and a child has one pick fewer, so it bounds the
-    sum of the child's k largest.
+      other selectable vertices.  That is a sum of k distinct coverages,
+      so it is never above the k largest, nor above k * Delta.
     """
     # undominated vertices, as their rows (no new objects per vertex), by
     # ascending candidate count, lowest index first on ties: the sort is
@@ -205,14 +200,14 @@ def branch_or_prune(rows, live, undom, selectable, k):
     used = 0
     for row in pending:
         if not row & used:  # used lies inside selectable
-            if len(packed) == k:
+            if len(packed) >= k:
                 return None
             packed.append(row)
             used |= row & selectable
             if used == selectable:
                 break
     del pending
-    cover = [(row & undom).bit_count() for row in live]
+    cover = [(row & undom).bit_count() for row in rows]
     order = []
     cands = packed[0] & selectable
     while cands:
@@ -232,21 +227,18 @@ def branch_or_prune(rows, live, undom, selectable, k):
             if c > best:
                 best = c
         maxes.append(best)
-    total = sum(maxes)
-    need = undom.bit_count()
+    bound = sum(maxes)
     free = k - len(packed)
-    if total + free * max(cover) < need:
-        return None
-    top = sorted(cover, reverse=True)[:k]
-    cap = sum(top[:k - 1])
     if free:
         # the k - p largest coverages once the packed maximisers are out
+        top = sorted(dense_bits(selectable, cover), reverse=True)[:k]
         for c in maxes:
             if c >= top[-1]:
                 top.remove(c)
-        if total + sum(top[:free]) < need:
-            return None
-    return order, cap, u
+        bound += sum(top[:free])
+    if bound < undom.bit_count():
+        return None
+    return order, u
 
 
 def _refine(cells, word):
@@ -281,6 +273,11 @@ def _search(g: Graph, deadline):
     """Branch-and-bound on one graph; returns (lower, size, witness mask,
     nodes, timed_out), with lower == size when the search finished.
 
+    A node is one call dfs(size, chosen, dominated, selectable, cells) and
+    holds no state beyond its arguments.  It records a leaf, or asks
+    `branch_or_prune` whether any child can beat the incumbent and, if so,
+    which candidates to branch over.
+
     When `cube_dimension(rows)` is n > 0, a set-up phase under the deadline
     (cut short, it claims no symmetry), the automorphisms of Q_n preserve g:
     the translations let the root fix vertex 0, and the coordinate
@@ -306,20 +303,16 @@ def _search(g: Graph, deadline):
     rows = g.rows()
     m = g.m
     full = (1 << m) - 1
-    delta = g.max_degree
 
     incumbent = greedy_upper_bound(g, deadline)
     best_size = len(incumbent)
     best_mask = mask_of(incumbent)
     lower = trivial_lower_bound(g)
-    # live[v] is rows[v] while v is selectable and 0 once it is not; zero
-    # rows leave the sums of the largest coverages unchanged.
-    live = list(rows)
 
     nodes = 0
     timed_out = False
 
-    def dfs(size, chosen, dominated, selectable, cap, cells):
+    def dfs(size, chosen, dominated, selectable, cells):
         # cells is the coordinate partition, None once it is discrete or
         # with no symmetry
         nonlocal best_size, best_mask, nodes, timed_out
@@ -331,45 +324,33 @@ def _search(g: Graph, deadline):
             if size < best_size:
                 best_size, best_mask = size, chosen
             return
-        # k more picks could still beat the incumbent.  Two O(1) tests come
-        # before branch_or_prune: no coverage exceeds Delta, and the cap
-        # bounds the sum of the k largest coverages.
-        undom = full ^ dominated
-        need = undom.bit_count()
-        k = best_size - size - 1
-        if k * delta < need or cap < need:
-            return
-        got = branch_or_prune(rows, live, undom, selectable, k)
+        # a child counts only if it can beat the incumbent: at most
+        # best_size - size - 1 more picks
+        got = branch_or_prune(rows, full ^ dominated, selectable, best_size - size - 1)
         if got is None:
             return
-        order, cap, u = got
-        sel = selectable
+        order, u = got
         if cells is not None:
             cells = _refine(cells, u)
             if len(cells) == n:
                 cells = None
         for orbit in zip(order) if cells is None else coordinate_orbits(cells, order):
             c = orbit[0]
-            sel &= ~(1 << c)
-            live[c] = 0
-            dfs(size + 1, chosen | (1 << c), dominated | rows[c], sel, cap,
+            selectable &= ~(1 << c)
+            dfs(size + 1, chosen | (1 << c), dominated | rows[c], selectable,
                 cells and _refine(cells, c))
             if timed_out:
                 break
             # the rest of the orbit stays selectable in c's subtree only
             for v in orbit[1:]:
-                sel &= ~(1 << v)
-                live[v] = 0
-        for v in order:
-            live[v] = rows[v]
+                selectable &= ~(1 << v)
 
     if best_size > lower:
         n = cube_dimension(rows, _expiry(deadline, m))
         if n:
-            live[0] = 0
-            dfs(1, 1, rows[0], full ^ 1, m * delta, [(1 << n) - 1])
+            dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1])
         else:
-            dfs(0, 0, 0, full, m * delta, None)
+            dfs(0, 0, 0, full, None)
     if not timed_out:
         lower = best_size
     return lower, best_size, best_mask, nodes, timed_out
@@ -382,12 +363,12 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     is fail-first: pick the undominated vertex with the fewest selectable
     dominators and branch over its candidates in decreasing residual-coverage
     order, excluding each candidate from the subtrees of its successors.  A
-    node is pruned when |chosen| plus a lower bound on the picks still needed
-    cannot beat the incumbent: two O(1) coverage tests, then the open packing
-    and coverage bounds of `branch_or_prune`.  Every prune cuts only subtrees
-    with no set smaller than the incumbent, so the incumbent changes at the
-    same leaves whichever of them fire, and a stronger prune changes `nodes`
-    but never the value or the witness.  When the rows show the symmetry of
+    node is pruned, in `branch_or_prune` only, when |chosen| plus the open
+    packing and coverage bound on the picks still needed cannot beat the
+    incumbent.  A prune cuts only subtrees with no set smaller than the
+    incumbent, so the incumbent changes at the same leaves however strong
+    the bound is, and a stronger prune changes `nodes` but never the value
+    or the witness.  When the rows show the symmetry of
     Q_n (`cube_dimension`: G_{n,r} or its complement in its natural
     labelling), the root fixes vertex 0 and the search branches on orbits
     of the coordinate permutations (see `_search`).  That skips subtrees

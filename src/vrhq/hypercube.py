@@ -122,8 +122,7 @@ def _translated(rows, v: int, patterns) -> int:
     return ((row & p) << low) | ((row >> low) & p)
 
 
-def build_hamming_graph(n: int, r: int, complemented: bool = False,
-                        ceiling: int = MATERIALIZE_CEILING) -> Graph:
+def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
     """Materialize G_{n,r} (distance <= r) or its complement (distance >= r+1).
 
     The graph is vertex-transitive: row v is the row of vertex 0 with its
@@ -134,9 +133,9 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False,
         raise ValueError("n must be a positive integer")
     if not isinstance(r, int) or r < 0:
         raise ValueError("r must be a non-negative integer")
-    if n > ceiling:
+    if n > MATERIALIZE_CEILING:
         raise DimensionTooLarge(
-            f"n = {n} exceeds the materialization ceiling {ceiling}; "
+            f"n = {n} exceeds the materialization ceiling {MATERIALIZE_CEILING}; "
             "use hamming_distance() for implicit queries")
     base = 0
     for w in range(1, 1 << n):

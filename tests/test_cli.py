@@ -368,6 +368,29 @@ class TestFlagErrors:
         assert cli.main(argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, env_name, argv", [
+        ("--snf-cap", "VRHQ_SNF_CAP",
+         ["homology", "--n", "2", "--r", "1", "--up-to", "1", "--coefficients", "z"]),
+        ("--max-simplices", "VRHQ_MAX_SIMPLICES",
+         ["homology", "--n", "2", "--r", "1", "--up-to", "1"]),
+        ("--max-simplices", "VRHQ_MAX_SIMPLICES",
+         ["complex", "--n", "2", "--r", "1", "--max-dim", "1", "--out", "unwritten.cx"]),
+    ])
+    def test_negative_cap_exits_2(self, capsys, monkeypatch, flag, env_name, argv):
+        code, env = run_json(capsys, *argv, flag, "-1")
+        assert code == 2
+        assert env["status"] == {"code": "value_error",
+                                 "message": f"{flag} must be >= 0, got -1"}
+        monkeypatch.setenv(env_name, "-3")
+        code, env = run_json(capsys, *argv)
+        assert code == 2
+        assert env["status"] == {"code": "value_error",
+                                 "message": f"{env_name} must be >= 0, got -3"}
+        # a cap of 0 is legal, and these inputs are over it
+        code, env = run_json(capsys, *argv, flag, "0")
+        assert code == 4
+        assert env["status"]["code"] == "too_large"
+
     def test_domain_error_envelope(self, capsys):
         code, env = run_json(capsys, "bound", "--n", "0", "--r", "0")
         assert code == 2

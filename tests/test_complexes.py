@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,22 @@ class TestVietorisRips:
     def test_simplex_cap(self):
         with pytest.raises(TooLarge):
             cx.vietoris_rips(3, 3, 7, max_simplices=10)
+        # VR(Q_3; 1) to dimension 1 has 8 + 12 simplices: a cap is inclusive
+        assert cx.vietoris_rips(3, 1, 1, max_simplices=20).f_vector() == (8, 12)
+        with pytest.raises(TooLarge):
+            cx.vietoris_rips(3, 1, 1, max_simplices=19)
+
+    def test_simplex_cap_stops_the_build_early(self):
+        # VR(Q_7; 4) has 159,488 2-simplices: the cap of 10^4 must stop the
+        # build inside that dimension, not after holding it whole
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                cx.vietoris_rips(7, 4, 6, max_simplices=10 ** 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_truncation_pads_empty_dimensions(self):
         k = cx.vietoris_rips(2, 1, 5)

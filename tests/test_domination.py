@@ -389,17 +389,18 @@ class TestBranchOrPrune:
     def test_bound_never_exceeds_the_fewest_picks(self, state):
         g, undom, selectable = state
         rows = g.rows()
-        live = [row if (selectable >> v) & 1 else 0 for v, row in enumerate(rows)]
         fewest = fewest_picks(rows, undom, selectable)
+        # undom is not empty, so no pick left always prunes
+        assert dom.branch_or_prune(rows, undom, selectable, 0) is None
         for k in range(1, g.m + 1):
-            got = dom.branch_or_prune(rows, live, undom, selectable, k)
+            got = dom.branch_or_prune(rows, undom, selectable, k)
             if fewest is not None and k >= fewest:
                 # the bound never exceeds the fewest extra picks
                 assert got is not None, (k, fewest)
             if got is None:
                 continue
-            order, cap, u = got
-            cover = [(row & undom).bit_count() for row in live]
+            order, u = got
+            cover = [(row & undom).bit_count() for row in rows]
             # fail-first: the undominated vertex with the fewest candidates,
             # lowest index on ties; its candidates by decreasing coverage
             counts = {w: (rows[w] & selectable).bit_count()
@@ -407,18 +408,17 @@ class TestBranchOrPrune:
             assert u == min(counts, key=lambda w: (counts[w], w))
             cands = [v for v in range(g.m) if (rows[u] & selectable) >> v & 1]
             assert order == sorted(cands, key=lambda v: (-cover[v], v))
-            assert cap == sum(sorted(cover, reverse=True)[:k - 1])
 
     def test_packing_prunes_before_the_coverage_pass(self):
         # the four leaves of two disjoint P4s need four distinct picks
         g = hc.Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        rows = g.rows()
+        rows = CountingRows(g.rows())
         undom = 0b10011001
-        live = CountingRows(rows)
-        assert dom.branch_or_prune(rows, live, undom, 0xFF, 3) is None
-        assert live.reads == 0
-        assert dom.branch_or_prune(rows, live, undom, 0xFF, 4) is not None
-        assert live.reads == 8
+        # one pass reads the undominated rows; the coverage pass is a second
+        assert dom.branch_or_prune(rows, undom, 0xFF, 3) is None
+        assert rows.reads == 8
+        assert dom.branch_or_prune(rows, undom, 0xFF, 4) is not None
+        assert rows.reads == 8 + 2 * 8
 
 
 def young_orbits_by_brute_force(n, cells, u):

@@ -127,8 +127,6 @@ class TestBuildHammingGraph:
     def test_ceiling(self):
         with pytest.raises(DimensionTooLarge):
             hc.build_hamming_graph(25, 3)
-        with pytest.raises(DimensionTooLarge):
-            hc.build_hamming_graph(7, 2, ceiling=6)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import pathlib
 
 import pytest
@@ -57,3 +58,33 @@ def test_gamma_t_spans_match_printed(tracing):
     assert solve["nodes"] == printed == 39
     greedy = [s for s in tracer.spans if s["name"] == "domination.greedy_upper_bound"]
     assert greedy and all(s["parent"] == solve["id"] for s in greedy)
+
+
+def test_every_wrapped_layer_yields_finite_metrics(tracing, tmp_path):
+    # one small call through each wrapped layer, as the traced benchmark pass
+    # makes them; the DIMACS file is the 6-cycle
+    dimacs = tmp_path / "c6.col"
+    dimacs.write_text("p edge 6 6\n" + "".join(f"e {v + 1} {(v + 1) % 6 + 1}\n"
+                                                 for v in range(6)))
+    complex_file = tmp_path / "k.cx"
+    commands = [
+        ["table", "--n-max", "5"],
+        ["counterexamples", "--n-max", "6"],
+        ["gamma-t", "--n", "5", "--r", "3", "--time-limit", "60s"],
+        ["gamma-t", "--dimacs", str(dimacs)],
+        ["witness", "--n", "3", "--r", "1", "--vertices", "0,7"],
+        ["complex", "--n", "3", "--r", "2", "--max-dim", "3", "--out", str(complex_file)],
+        ["homology", "--complex", str(complex_file), "--up-to", "2"],
+        ["homology", "--n", "3", "--r", "1", "--up-to", "1", "--coefficients", "z"],
+    ]
+    tracer = tracing.Tracer()
+    with tracing.Patched(tracer, vrhq), contextlib.redirect_stdout(io.StringIO()):
+        for op, argv in enumerate(commands):
+            tracer.op = op
+            assert cli.main(argv) == 0, argv
+    called = {s["name"] for s in tracer.spans}
+    assert called == {name for _, name, _ in tracing.PATCHES}
+    metrics = tracing.layer_metrics(tracer.spans, {s["id"]: 1.0 for s in tracer.spans})
+    assert len(metrics) == 27
+    for name, (value, _unit) in metrics.items():
+        assert math.isfinite(value), name
