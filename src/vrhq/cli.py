@@ -227,8 +227,11 @@ def _cmd_complex(args):
 def _cmd_homology(args):
     if args.up_to < 0:
         raise ValueError("--up-to must be >= 0")
-    snf_cap = _resolve_cap(args.snf_cap, "--snf-cap", "VRHQ_SNF_CAP",
-                           homology.DEFAULT_SNF_CAP)
+    snf_cap = homology.DEFAULT_SNF_CAP
+    if args.coefficients == "z":
+        snf_cap = _resolve_cap(args.snf_cap, "--snf-cap", "VRHQ_SNF_CAP", snf_cap)
+    elif args.snf_cap is not None:
+        raise ValueError("--snf-cap needs --coefficients z, the only pipeline it caps")
     if args.complex_file is not None:
         if args.n is not None or args.r is not None:
             raise ValueError("--complex excludes --n/--r")

@@ -76,33 +76,35 @@ def _clique_complex(rows, m, max_dim, max_simplices):
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     cap = DEFAULT_MAX_SIMPLICES if max_simplices is None else max_simplices
-    full = (1 << m) - 1
     total = m
     if total > cap:
         raise TooLarge(f"simplex count exceeds the cap of {cap}")
     by_dim = [[(v,) for v in range(m)]]
-    # frontier carries, per simplex, the bitset of vertices above its maximum
-    # that are adjacent to all of its members
-    frontier = [((v,), rows[v] & (full ^ ((1 << (v + 1)) - 1))) for v in range(m)]
-    for _ in range(1, max_dim + 1):
-        nxt = []
-        for simplex, ext in frontier:
+    # exts[i] is the bitset of vertices above the maximum of simplex i of
+    # the current dimension that are adjacent to all of its members
+    exts = [rows[v] >> (v + 1) << (v + 1) for v in range(m)]
+    for d in range(1, max_dim + 1):
+        last = d == max_dim
+        simplices, nxt_exts = [], []
+        for simplex, ext in zip(by_dim[-1], exts):
             e = ext
             while e:
                 low = e & -e
                 w = low.bit_length() - 1
                 e ^= low
-                above_w = full ^ ((1 << (w + 1)) - 1)
-                nxt.append((simplex + (w,), ext & rows[w] & above_w))
-            # checked per frontier simplex, so an over-cap dimension is
+                simplices.append(simplex + (w,))
+                if not last:
+                    # e now holds exactly the bits of ext above w
+                    nxt_exts.append(e & rows[w])
+            # checked per simplex extended, so an over-cap dimension is
             # never held whole
-            if total + len(nxt) > cap:
+            if total + len(simplices) > cap:
                 raise TooLarge(f"simplex count exceeds the cap of {cap}")
-        total += len(nxt)
-        by_dim.append([s for s, _ in nxt])
-        frontier = nxt
-        if not nxt:
-            by_dim.extend([] for _ in range(max_dim - len(by_dim) + 1))
+        total += len(simplices)
+        by_dim.append(simplices)
+        exts = nxt_exts
+        if not simplices:
+            by_dim.extend([] for _ in range(max_dim - d))
             break
     return by_dim
 

@@ -7,10 +7,10 @@ cleared before it is packed (Chen-Kerber 2011): a column of d_p that is the
 largest row of some column of d_{p+1} is dropped, because dd = 0 makes it
 the GF(2) sum of columns with smaller indices.  The top degree has no
 cofaces built and is reduced in full.  An exact integer pipeline via
-Smith normal form gives free ranks and torsion: +-1 pivots are eliminated
-sparsely first, and only the residual core, usually empty for boundary
-matrices, goes through dense integer reduction.  Its size cap bounds the
-rows and columns of each boundary matrix and is checked against the
+Smith normal form gives free ranks and torsion: one sparse elimination
+takes the +-1 pivots first, which for boundary matrices usually leave
+nothing, and then pivots of least absolute value.  Its size cap bounds
+the rows and columns of each boundary matrix and is checked against the
 f-vector before any matrix is built.
 
 Reduced homology uses the augmentation map as the dimension-0 boundary, so
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress
+from math import gcd
 
 from .complexes import SimplicialComplex
 from .errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
@@ -174,145 +175,118 @@ def _check_snf_cap(nr: int, nc: int, cap: int) -> None:
         raise TooLarge(f"matrix exceeds the SNF cap of {cap}x{cap}")
 
 
-def _unit_eliminate(rows: list[dict[int, int]], nc: int) -> int:
-    """Eliminate +-1 pivots in place; returns how many were eliminated.
+def _pivots(rows, cols):
+    """Pivot positions (row, column) for `_diagonalize`, each chosen after
+    the previous one is eliminated.
 
-    `rows` are sparse rows {column: nonzero value}.  Passes go over the
-    columns in order; in each column the shortest row with a +-1 entry
-    there is the pivot, row operations clear the column elsewhere, and the
-    pivot row and column are dropped (column operations would clear the
-    rest of the pivot row without touching any other row).  Passes repeat
-    until one finds no unit pivot.  What is left in `rows` is the residual
-    core.
+    Unit passes first: the columns in order, in each the shortest row with
+    a +-1 entry there, repeated until a pass finds none.  Then any entry of
+    least absolute value, the shortest row breaking ties.
     """
-    cols = [set() for _ in range(nc)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    live = [j for j in range(nc) if cols[j]]
-    units = 0
+    live = [j for j in range(len(cols)) if cols[j]]
     found = True
     while found:
         found = False
         kept = []
         for j in live:
-            col = cols[j]
             pivot = None
-            for i in col:
+            for i in cols[j]:
                 if rows[i][j] in (1, -1) and (pivot is None or len(rows[i]) < best):
                     pivot, best = i, len(rows[i])
             if pivot is None:
                 kept.append(j)
                 continue
-            prow = rows[pivot]
-            unit = prow[j]
-            for i in [i for i in col if i != pivot]:
-                row = rows[i]
-                f = row[j] * unit
-                for c, a in prow.items():
-                    b = row.get(c, 0) - f * a
-                    if b:
-                        if c not in row:
-                            cols[c].add(i)
-                        row[c] = b
-                    else:
-                        del row[c]
-                        cols[c].discard(i)
-            for c in prow:
-                cols[c].discard(pivot)
-            rows[pivot] = {}
-            units += 1
+            yield pivot, j
             found = True
         live = [j for j in kept if cols[j]]
-    return units
+    while entries := [(abs(a), len(row), i, j)
+                      for i, row in enumerate(rows) for j, a in row.items()]:
+        _, _, i, j = min(entries)
+        yield i, j
 
 
-def _dense_snf(rows: list[list[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors of a dense matrix, reduced in place.
+def _diagonalize(rows: list[dict[int, int]], nc: int) -> list[int]:
+    """Reduce sparse rows {column: nonzero value} to a diagonal, in place.
 
-    Exact unbounded-integer reduction with smallest-pivot selection; the
-    divisibility chain is enforced before each pivot is finalized.
+    Returns the absolute values of the diagonal entries; `rows` is left
+    empty.  For a pivot a at (i, j), row operations with floor quotients
+    replace every other entry x of column j by x mod a, and rows whose
+    quotient is 0 are left alone.  Once column j holds a alone, column
+    operations change only row i, reducing it mod a; then row i is {j: a}
+    and splits off a 1x1 block.  While entries are left in column j or in
+    row i, they all have absolute value < |a|, so the least of them
+    becomes the next pivot.  Each step thus either finishes a pivot or
+    lowers |a|, a positive integer, and the elimination ends.  A +-1
+    pivot clears its column and row in one step.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    factors = []
-    t = 0
-    while t < min(nr, nc):
-        # smallest nonzero entry of the trailing submatrix becomes the pivot
-        pr = pc = -1
-        pv = 0
-        for i in range(t, nr):
-            for j in range(t, nc):
-                a = abs(rows[i][j])
-                if a and (pv == 0 or a < pv):
-                    pv, pr, pc = a, i, j
-        if pv == 0:
-            break
-        rows[t], rows[pr] = rows[pr], rows[t]
-        for row in rows:
-            row[t], row[pc] = row[pc], row[t]
-        if rows[t][t] < 0:
-            rows[t] = [-a for a in rows[t]]
-
+    cols = [set() for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    diagonal = []
+    for i, j in _pivots(rows, cols):
         while True:
-            pivot = rows[t][t]
-            moved = False
-            for i in range(t + 1, nr):
-                if rows[i][t] % pivot:
-                    q = rows[i][t] // pivot
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[t])]
-                    rows[t], rows[i] = rows[i], rows[t]
-                    moved = True
-                    break
-            if moved:
+            prow = rows[i]
+            a = prow[j]
+            for r in [r for r in cols[j] if r != i]:
+                row = rows[r]
+                q = row[j] // a
+                if not q:
+                    continue
+                for c, b in prow.items():
+                    v = row.get(c, 0) - q * b
+                    if v:
+                        if c not in row:
+                            cols[c].add(r)
+                        row[c] = v
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+            if len(cols[j]) > 1:
+                i = min(cols[j] - {i}, key=lambda r: abs(rows[r][j]))
                 continue
-            for j in range(t + 1, nc):
-                if rows[t][j] % pivot:
-                    q = rows[t][j] // pivot
-                    for row in rows:
-                        row[j] -= q * row[t]
-                    for row in rows:
-                        row[t], row[j] = row[j], row[t]
-                    moved = True
-                    break
-            if moved:
+            for c in [c for c in prow if c != j]:
+                v = prow[c] % a
+                if v:
+                    prow[c] = v
+                else:
+                    del prow[c]
+                    cols[c].discard(i)
+            if len(prow) > 1:
+                j = min((c for c in prow if c != j), key=lambda c: abs(prow[c]))
                 continue
-            for i in range(t + 1, nr):
-                if rows[i][t]:
-                    q = rows[i][t] // pivot
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[t])]
-            for j in range(t + 1, nc):
-                if rows[t][j]:
-                    q = rows[t][j] // pivot
-                    for row in rows:
-                        row[j] -= q * row[t]
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if rows[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            rows[t] = [a + b for a, b in zip(rows[t], rows[offender])]
-        factors.append(abs(rows[t][t]))
-        t += 1
-    return tuple(factors)
+            cols[j].discard(i)
+            rows[i] = {}
+            diagonal.append(abs(a))
+            break
+    return diagonal
+
+
+def _invariant_factors(diagonal) -> tuple[int, ...]:
+    """The divisibility chain of a diagonal matrix's nonzero entries.
+
+    Pairwise (d_i, d_j) -> (gcd, lcm) keeps every prime's exponents and
+    the product; after position i it divides all later entries.
+    """
+    ones = diagonal.count(1)
+    d = sorted(x for x in diagonal if x > 1)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+    return (1,) * ones + tuple(d)
 
 
 def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Two exact stages.  Stage 1 eliminates +-1 pivots on a sparse copy of
-    the matrix (`_unit_eliminate`); each pivot is a unimodular row and
-    column operation that splits off a 1x1 block, diag(1, M'), and
-    D_k(diag(1, M')) = D_{k-1}(M'), so every such pivot contributes an
-    invariant factor 1.  Stage 2 runs dense unbounded-integer reduction with
-    smallest-pivot selection on the residual core M' only (`_dense_snf`);
-    for boundary matrices of flag complexes the core is usually empty.
-    Matrices with more than cap rows or columns raise TooLarge.
+    One exact sparse elimination (`_diagonalize`) brings the matrix to a
+    diagonal by unimodular row and column operations: +-1 pivots first,
+    which for boundary matrices of flag complexes usually leave nothing,
+    then pivots of least absolute value.  The diagonal's entries are then
+    put into a divisibility chain (`_invariant_factors`).  Matrices with
+    more than cap rows or columns raise TooLarge.
     """
     rows = list(matrix)
     nr = len(rows)
@@ -322,11 +296,7 @@ def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
     _check_snf_cap(nr, nc, cap)
     sparse = [{j: a for j, v in compress(enumerate(row), row) if (a := int(v))}
               for row in rows]
-    units = _unit_eliminate(sparse, nc)
-    core_rows = [row for row in sparse if row]
-    core_cols = sorted({j for row in core_rows for j in row})
-    core = [[row.get(j, 0) for j in core_cols] for row in core_rows]
-    return (1,) * units + _dense_snf(core)
+    return _invariant_factors(_diagonalize(sparse, nc))
 
 
 def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2",

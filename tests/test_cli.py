@@ -363,10 +363,17 @@ class TestFlagErrors:
         [],
         ["gamma-t", "--n", "3", "--r", "1", "--exhaustive", "--time-limit", "0s"],
         ["homology", "--complex", "missing.cx", "--up-to", "1", "--max-simplices", "1"],
+        ["homology", "--n", "3", "--r", "1", "--up-to", "1", "--snf-cap", "0"],
     ])
     def test_exit_2(self, capsys, argv):
         assert cli.main(argv) == 2
         capsys.readouterr()
+
+    def test_gf2_does_not_read_the_snf_cap_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("VRHQ_SNF_CAP", "-3")
+        code, env = run_json(capsys, "homology", "--n", "3", "--r", "1", "--up-to", "1")
+        assert code == 0
+        assert env["result"]["reduced_betti"] == [0, 5]
 
     @pytest.mark.parametrize("flag, env_name, argv", [
         ("--snf-cap", "VRHQ_SNF_CAP",

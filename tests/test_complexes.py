@@ -78,6 +78,18 @@ class TestVietorisRips:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_top_dimension_builds_no_extension_sets(self):
+        # VR(Q_8; 2) to dimension 4 holds about 7.5 MiB of simplices; an
+        # extension bitset per 4-simplex would push the peak past 13 MiB
+        tracemalloc.start()
+        try:
+            k = cx.vietoris_rips(8, 2, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.f_vector() == (256, 4608, 21504, 37632, 32256)
+        assert peak < 10 << 20
+
     def test_truncation_pads_empty_dimensions(self):
         k = cx.vietoris_rips(2, 1, 5)
         assert k.f_vector() == (4, 4, 0, 0, 0, 0)

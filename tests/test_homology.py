@@ -21,10 +21,10 @@ def oracle_factors(matrix):
 
 @st.composite
 def small_matrices(draw):
-    """Up to 4x5, entries in [-3, 3], with some rows and columns zeroed."""
-    nr = draw(st.integers(1, 4))
-    nc = draw(st.integers(1, 5))
-    entries = st.lists(st.integers(-3, 3), min_size=nc, max_size=nc)
+    """Up to 6x6, entries in [-9, 9], with some rows and columns zeroed."""
+    nr = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-9, 9), min_size=nc, max_size=nc)
     matrix = draw(st.lists(entries, min_size=nr, max_size=nr))
     zero_rows = draw(st.sets(st.integers(0, nr - 1)))
     zero_cols = draw(st.sets(st.integers(0, nc - 1)))
@@ -201,15 +201,21 @@ class TestBettiGf2:
 class TestSmithNormalForm:
     @pytest.fixture
     def core_shapes(self, monkeypatch):
-        """Shapes of the residual cores handed to the dense stage."""
+        """Shapes of the residual cores the unit passes leave, one per
+        elimination: nonzero rows and columns at the first pivot that is
+        not +-1, or (0, 0) when there is none."""
         shapes = []
-        dense = ho._dense_snf
+        pivots = ho._pivots
 
-        def spy(rows):
-            shapes.append((len(rows), len(rows[0]) if rows else 0))
-            return dense(rows)
+        def spy(rows, cols):
+            core = (0, 0)
+            for i, j in pivots(rows, cols):
+                if core == (0, 0) and rows[i][j] not in (1, -1):
+                    core = (sum(map(bool, rows)), sum(map(bool, cols)))
+                yield i, j
+            shapes.append(core)
 
-        monkeypatch.setattr(ho, "_dense_snf", spy)
+        monkeypatch.setattr(ho, "_pivots", spy)
         return shapes
 
     def test_trivial_cases(self):
@@ -253,6 +259,9 @@ class TestSmithNormalForm:
         ([[2, 1], [3, 1]], (1, 1), (0, 0)),
         # no unit entry at all: the core is the whole matrix
         ([[2, 0], [0, 3]], (1, 6), (2, 2)),
+        # the pivot 3 leaves the remainder 2 in its row; in that column the
+        # entry 1 has floor quotient 0 by 2, so its row is left alone
+        ([[3, -4], [3, -3]], (1, 3), (2, 2)),
     ])
     def test_residual_core_reaches_dense_stage(self, core_shapes, matrix, factors, core):
         assert ho.smith_normal_form(matrix) == factors == oracle_factors(matrix)
@@ -261,8 +270,16 @@ class TestSmithNormalForm:
     def test_flag_complex_boundaries_leave_no_core(self, core_shapes):
         k = cx.vietoris_rips(4, 2, 4)
         for p in range(1, 5):
-            ho.smith_normal_form(ho.boundary_matrix(k, p).dense_rows())
+            factors = ho.smith_normal_form(ho.boundary_matrix(k, p).dense_rows())
+            assert set(factors) == {1}
         assert core_shapes == [(0, 0)] * 4
+
+    def test_doubled_boundary_has_doubled_factors(self):
+        # 2 d_2 of VR(Q_5;2) is 240 x 640 with every entry +-2: no unit pivot
+        d2 = ho.boundary_matrix(cx.vietoris_rips(5, 2, 2), 2).dense_rows()
+        factors = ho.smith_normal_form(d2)
+        doubled = ho.smith_normal_form([[2 * a for a in row] for row in d2])
+        assert doubled == tuple(2 * d for d in factors) == (2,) * 209
 
 
 class TestReducedHomology:

@@ -17,7 +17,9 @@ import pathlib
 import pytest
 
 import vrhq
-from vrhq import cli
+from vrhq import cli, complexes as cx
+
+from tests.test_homology import projective_plane
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,16 +32,22 @@ def tracing():
     return module
 
 
-@pytest.mark.parametrize("coefficients", [[], ["--coefficients", "z"]])
-def test_composed_betti_matches_printed(tracing, coefficients):
-    up_to = 3
-    argv = ["homology", "--n", "4", "--r", "2", "--up-to", str(up_to), *coefficients]
+def traced(tracing, argv):
+    """One CLI run as operation 0 under the tracer: its spans and result."""
     tracer = tracing.Tracer()
     tracer.op = 0
     out = io.StringIO()
     with tracing.Patched(tracer, vrhq), contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    printed = json.loads(out.getvalue())["result"]["reduced_betti"]
+    return tracer, json.loads(out.getvalue())["result"]
+
+
+@pytest.mark.parametrize("coefficients", [[], ["--coefficients", "z"]])
+def test_composed_betti_matches_printed(tracing, coefficients):
+    up_to = 3
+    argv = ["homology", "--n", "4", "--r", "2", "--up-to", str(up_to), *coefficients]
+    tracer, result = traced(tracing, argv)
+    printed = result["reduced_betti"]
     assert tracing.composed_betti(tracer.spans, 0, up_to) == printed == [0, 0, 0, 9]
     packed = [s for s in tracer.spans if s["name"] == "homology.gf2_columns"]
     assert all(type(s["bytes"]) is int for s in packed)
@@ -47,13 +55,19 @@ def test_composed_betti_matches_printed(tracing, coefficients):
         assert len(packed) == up_to + 2
 
 
+def test_torsion_complex_composes_through_the_z_path(tracing, tmp_path):
+    # d_2 of the projective plane keeps a non-unit pivot, the torsion 2
+    path = tmp_path / "rp2.cx"
+    cx.write_complex_file(projective_plane(), path)
+    argv = ["homology", "--complex", str(path), "--up-to", "2", "--coefficients", "z"]
+    tracer, result = traced(tracing, argv)
+    assert tracing.composed_betti(tracer.spans, 0, 2) == result["reduced_betti"] == [0, 0, 0]
+    assert result["torsion"] == [[], [2], []]
+
+
 def test_gamma_t_spans_match_printed(tracing):
-    tracer = tracing.Tracer()
-    tracer.op = 0
-    out = io.StringIO()
-    with tracing.Patched(tracer, vrhq), contextlib.redirect_stdout(out):
-        assert cli.main(["gamma-t", "--n", "5", "--r", "3"]) == 0
-    printed = json.loads(out.getvalue())["result"]["nodes"]
+    tracer, result = traced(tracing, ["gamma-t", "--n", "5", "--r", "3"])
+    printed = result["nodes"]
     [solve] = [s for s in tracer.spans if s["name"] == "domination.exact_gamma_t"]
     assert solve["nodes"] == printed == 39
     greedy = [s for s in tracer.spans if s["name"] == "domination.greedy_upper_bound"]
