@@ -2,11 +2,15 @@
 
 The default detector works over GF(2): boundary matrices become bit-packed
 integer columns and ranks come from Gaussian elimination, which is orders of
-magnitude faster than integer reduction.  Every degree below the top is
-cleared before it is packed (Chen-Kerber 2011): a column of d_p that is the
-largest row of some column of d_{p+1} is dropped, because dd = 0 makes it
-the GF(2) sum of columns with smaller indices.  The top degree has no
-cofaces built and is reduced in full.  An exact integer pipeline via
+magnitude faster than integer reduction.  Clear and compress (Chen-Kerber
+2011; Bauer-Kerber-Reininghaus 2014) shrink every matrix before it is
+packed.  Clearing: a column of d_p that is the largest row of some column
+of d_{p+1} is dropped, because dd = 0 makes it the GF(2) sum of columns
+with smaller indices; the top degree has no cofaces built and keeps all
+its columns.  Compression: every degree, the top one included, drops the
+rows that are pivot columns of the degree below and packs the rest densely,
+so each column is only as wide as the rows left.  Each elimination stops
+once it has as many pivots as rows.  An exact integer pipeline via
 Smith normal form gives free ranks and torsion: one sparse elimination
 takes the +-1 pivots first, which for boundary matrices usually leave
 nothing, and then pivots of least absolute value.  Its size cap bounds
@@ -46,15 +50,28 @@ class BoundaryMatrix:
     n_cols: int
     columns: tuple[tuple[int, ...], ...]
 
-    def gf2_columns(self, skip=frozenset()) -> list[int]:
-        """Bit-packed GF(2) columns, leaving out the column indices in skip."""
+    def gf2_columns(self, skip=frozenset(), drop=frozenset()) -> list[int]:
+        """Bit-packed GF(2) columns, leaving out the column indices in skip.
+
+        The row indices in drop are left out too, and the other rows are
+        renumbered densely in their order, so a column is only as wide as
+        the kept rows up to its highest one.
+        """
+        bit = [-1] * self.n_rows
+        kept = 0
+        for row in range(self.n_rows):
+            if row not in drop:
+                bit[row] = kept
+                kept += 1
         out = []
         for j, col in enumerate(self.columns):
             if j in skip:
                 continue
             v = 0
             for row in col:
-                v |= 1 << row
+                i = bit[row]
+                if i >= 0:
+                    v |= 1 << i
             out.append(v)
         return out
 
@@ -87,24 +104,38 @@ def _operator(k, p):
     return _augmentation_matrix(k) if p == 0 else boundary_matrix(k, p)
 
 
-def _gf2_pivots(columns) -> dict[int, int]:
-    """Column echelon form over GF(2): reduced columns keyed by leading row."""
+def _gf2_pivots(columns, n_rows=None, positions=None) -> dict[int, int]:
+    """Column echelon form over GF(2): reduced columns keyed by leading row.
+
+    A column becomes a pivot when it is independent of the columns before
+    it; its position in `columns` is appended to `positions` if that is a
+    list.  With n_rows given, the reduction stops at n_rows pivots: the
+    rank cannot exceed the number of rows, so no later column adds one.
+    """
     pivots = {}
-    for col in columns:
-        cur = col
+    for j, cur in enumerate(columns):
         while cur:
             lead = cur.bit_length() - 1
-            if lead in pivots:
-                cur ^= pivots[lead]
-            else:
-                pivots[lead] = cur
+            if lead not in pivots:
+                break
+            cur ^= pivots[lead]
+        if cur:
+            pivots[lead] = cur
+            if positions is not None:
+                positions.append(j)
+            if len(pivots) == n_rows:
                 break
     return pivots
 
 
-def gf2_rank(columns) -> int:
-    """Rank of a GF(2) matrix given as bit-packed columns."""
-    return len(_gf2_pivots(columns))
+def gf2_rank(columns, n_rows=None, positions=None) -> int:
+    """Rank of a GF(2) matrix given as bit-packed columns.
+
+    n_rows, if given, bounds the rank and ends the elimination once it is
+    reached.  If positions is a list, the positions of the columns that
+    became pivots, a basis of the column space, are appended to it.
+    """
+    return len(_gf2_pivots(columns, n_rows, positions))
 
 
 @dataclass(frozen=True)
@@ -151,22 +182,43 @@ def _reduced_betti(k, ranks) -> tuple[int, ...]:
 def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     """Reduced GF(2) Betti numbers beta~_0..beta~_up_to.
 
-    Degrees run in order, and d_{p+1} is built before d_p is packed.  For a
-    (p+1)-simplex with largest facet s, dd = 0 makes column s of d_p the sum
-    of its other facets' columns, all with smaller indices; dropping every
-    such s from the largest down never changes the rank, so only the rest
-    of d_p is packed and ranked.  The top degree up_to + 1 is ranked whole.
+    Degrees run in order, and d_{p+1} is built before d_p is packed.  Two
+    reductions keep every rank while shrinking the packed matrices.
+
+    Clearing.  For a (p+1)-simplex with largest facet s, dd = 0 makes column
+    s of d_p the sum of its other facets' columns, all with smaller indices;
+    dropping every such s from the largest down never changes the rank, so
+    only the rest of d_p is packed.  The top degree up_to + 1 has no
+    cofaces built and keeps all its columns.
+
+    Compression.  Let N_p be the columns of d_p that became pivots in its
+    elimination, and let P drop the rows indexed by N_p.  d_{p+1} is packed
+    as P d_{p+1}, its other rows renumbered densely.  N_p is a set of
+    linearly independent columns of d_p (they are independent after d_p's
+    own rows were dropped, hence before), so a vector of ker d_p supported
+    inside N_p is a dependency among them and is 0: P is injective on
+    ker d_p.  That subspace contains im d_{p+1}, so rank P d_{p+1} =
+    rank d_{p+1}.  Clearing still holds on the projected matrix, since the
+    relation that makes a column the sum of earlier ones survives P.  The
+    rows left number f_p - rank d_p = dim ker d_p, which bounds
+    rank d_{p+1}: the elimination stops once it has that many pivots, the
+    case beta~_p = 0.
     """
     _check_truncation(k, up_to)
     ranks = []
     bm = _operator(k, 0)
+    drop = frozenset()  # N_{p-1}, the rows of d_p that P leaves out
     for p in range(up_to + 2):
         nxt = boundary_matrix(k, p + 1) if p <= up_to else None
         cleared = frozenset() if nxt is None else {max(col) for col in nxt.columns}
-        cols = bm.gf2_columns(cleared)
+        cols = bm.gf2_columns(cleared, drop)
+        n_rows, n_cols = bm.n_rows - len(drop), bm.n_cols
         bm = nxt  # frees d_p's sparse columns before the elimination
-        ranks.append(gf2_rank(cols))
+        positions = []
+        ranks.append(gf2_rank(cols, n_rows, positions))
         del cols  # and its packing before the next degree is packed
+        kept = [j for j in range(n_cols) if j not in cleared]
+        drop = {kept[i] for i in positions}
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 

@@ -1,5 +1,9 @@
+import importlib.util
 import itertools
+import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +12,9 @@ from vrhq import complexes as cx, homology as ho
 from vrhq.errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
 from tests.oracles import (brute_reduced_betti, dense_boundary, dense_gf2_rank,
-                           determinantal_divisors)
+                           determinantal_divisors, lex_first_basis)
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                  (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
@@ -168,12 +174,43 @@ class TestBettiGf2:
         assert ho.betti_gf2(k, max_dim - 1).reduced_betti == expected
         # clearing: dropping each column of d_p that is the largest facet of a
         # (p+1)-simplex keeps the rank of d_p
-        for p in range(max_dim):
+        kept = []
+        for p in range(max_dim + 1):
             index = {s: i for i, s in enumerate(by_dim[p])}
             cleared = {max(index[s[:t] + s[t + 1:]] for t in range(len(s)))
-                       for s in by_dim[p + 1]}
-            kept = [j for j in range(f[p]) if j not in cleared]
-            assert dense_gf2_rank(mats[p][:, kept]) == ranks[p]
+                       for s in (by_dim[p + 1] if p < max_dim else ())}
+            kept.append([j for j in range(f[p]) if j not in cleared])
+            assert dense_gf2_rank(mats[p][:, kept[p]]) == ranks[p]
+        # compression: dropping from d_{p+1} the rows of a column basis of d_p,
+        # together with its cleared columns, keeps the rank of d_{p+1}
+        for p in range(max_dim):
+            basis = set(lex_first_basis(mats[p]))
+            rows = [i for i in range(f[p]) if i not in basis]
+            assert dense_gf2_rank(mats[p + 1][rows][:, kept[p + 1]]) == ranks[p + 1]
+
+    def test_peak_memory_of_q8_r2(self):
+        # the largest packed matrix, d_4, is 94 MiB uncompressed
+        k = cx.vietoris_rips(8, 2, 4)
+        tracemalloc.start()
+        try:
+            betti = ho.betti_gf2(k, 3).reduced_betti
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert betti == (0, 0, 0, adamaszek_adams_beta3(8))
+        assert peak <= 80 << 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n_rows: st.tuples(
+        st.just(n_rows), st.lists(st.integers(0, (1 << n_rows) - 1), max_size=14))))
+    def test_rank_stops_at_full_row_rank(self, matrix):
+        n_rows, cols = matrix
+        positions = []
+        assert ho.gf2_rank(cols, n_rows, positions) == ho.gf2_rank(cols)
+        dense = np.array([[c >> i & 1 for c in cols] for i in range(n_rows)],
+                         dtype=np.uint8).reshape(n_rows, len(cols))
+        assert positions == lex_first_basis(dense)
+        assert len(positions) == dense_gf2_rank(dense)
 
     def test_disconnected_counts_components(self):
         points = cx.vietoris_rips(3, 0, 1)
@@ -196,6 +233,26 @@ class TestBettiGf2:
             chi_f = sum((-1) ** i * f for i, f in enumerate(k.f_vector()))
             chi_b = sum((-1) ** i * b for i, b in enumerate(unreduced))
             assert chi_f == chi_b
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """bench/reference.py, loaded read-only: its clique search and GF(2)
+    elimination share no code with vrhq."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))  # for its `import checks`
+        spec = importlib.util.spec_from_file_location("bench_reference", BENCH / "reference.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestIndependentGf2:
+    @pytest.mark.parametrize("n, r, up_to", [
+        (4, 2, 3), (5, 2, 3), (6, 2, 3), (4, 3, 5), (5, 3, 7)])
+    def test_matches_bench_reference(self, reference, n, r, up_to):
+        betti = ho.betti_gf2(cx.vietoris_rips(n, r, up_to + 1), up_to).reduced_betti
+        assert list(betti) == reference.reduced_betti_gf2(n, r, up_to)
 
 
 class TestSmithNormalForm:
