@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import time
 
@@ -43,6 +44,8 @@ def _parse_duration(text: str) -> float:
         value = float(body) * scale
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"duration must be finite, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("duration must be non-negative")
     return value

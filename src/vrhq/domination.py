@@ -184,21 +184,16 @@ def branch_or_prune(rows, undom, selectable, k):
       other selectable vertices.  That is a sum of k distinct coverages,
       so it is never above the k largest, nor above k * Delta.
     """
-    # undominated vertices, as their rows (no new objects per vertex), by
-    # ascending candidate count, lowest index first on ties: the sort is
-    # stable and dense_bits yields them in ascending order
-    pending = sorted(dense_bits(undom, rows),
-                     key=lambda row: (row & selectable).bit_count())
-    if not pending[0] & selectable:
+    # undominated vertices by ascending candidate count, lowest index first
+    # on ties: the sort is stable and dense_bits yields them in ascending order
+    pending = sorted(dense_bits(undom),
+                     key=lambda v: (rows[v] & selectable).bit_count())
+    u = pending[0]
+    if not rows[u] & selectable:
         return None
-    # its index: the first undominated vertex with that row, since a twin
-    # (same row) has the same candidate count and sorts in index order
-    u = rows.index(pending[0])
-    while not undom >> u & 1:
-        u = rows.index(pending[0], u + 1)
     packed = []
     used = 0
-    for row in pending:
+    for row in map(rows.__getitem__, pending):
         if not row & used:  # used lies inside selectable
             if len(packed) >= k:
                 return None

@@ -12,10 +12,10 @@ rows that are pivot columns of the degree below and packs the rest densely,
 so each column is only as wide as the rows left.  Each elimination stops
 once it has as many pivots as rows.  An exact integer pipeline via
 Smith normal form gives free ranks and torsion: one sparse elimination
-takes the +-1 pivots first, which for boundary matrices usually leave
-nothing, and then pivots of least absolute value.  Its size cap bounds
-the rows and columns of each boundary matrix and is checked against the
-f-vector before any matrix is built.
+takes the columns in order and pivots each at its entry of least absolute
+value, a +-1 wherever the column has one.  Its size cap bounds the rows
+and columns of each boundary matrix and is checked against the f-vector
+before any matrix is built.
 
 Reduced homology uses the augmentation map as the dimension-0 boundary, so
 beta~_0 = components - 1 falls out of the same code path as every other
@@ -231,30 +231,15 @@ def _pivots(rows, cols):
     """Pivot positions (row, column) for `_diagonalize`, each chosen after
     the previous one is eliminated.
 
-    Unit passes first: the columns in order, in each the shortest row with
-    a +-1 entry there, repeated until a pass finds none.  Then any entry of
-    least absolute value, the shortest row breaking ties.
+    The columns in order; while column j is nonzero, its entry of least
+    absolute value, the shortest row breaking ties.  An eliminated column
+    stays zero: later pivot rows have no entry in it, and column operations
+    change only the pivot row.  Column j itself can be refilled when a
+    pivot moves on to a later column of its row, hence the while.
     """
-    live = [j for j in range(len(cols)) if cols[j]]
-    found = True
-    while found:
-        found = False
-        kept = []
-        for j in live:
-            pivot = None
-            for i in cols[j]:
-                if rows[i][j] in (1, -1) and (pivot is None or len(rows[i]) < best):
-                    pivot, best = i, len(rows[i])
-            if pivot is None:
-                kept.append(j)
-                continue
-            yield pivot, j
-            found = True
-        live = [j for j in kept if cols[j]]
-    while entries := [(abs(a), len(row), i, j)
-                      for i, row in enumerate(rows) for j, a in row.items()]:
-        _, _, i, j = min(entries)
-        yield i, j
+    for j, col in enumerate(cols):
+        while col:
+            yield min(col, key=lambda i: (abs(rows[i][j]), len(rows[i]))), j
 
 
 def _diagonalize(rows: list[dict[int, int]], nc: int) -> list[int]:
@@ -334,11 +319,11 @@ def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
     One exact sparse elimination (`_diagonalize`) brings the matrix to a
-    diagonal by unimodular row and column operations: +-1 pivots first,
-    which for boundary matrices of flag complexes usually leave nothing,
-    then pivots of least absolute value.  The diagonal's entries are then
-    put into a divisibility chain (`_invariant_factors`).  Matrices with
-    more than cap rows or columns raise TooLarge.
+    diagonal by unimodular row and column operations, pivoting each
+    column in turn at its entry of least absolute value (`_pivots`).
+    The diagonal's entries are then put into a divisibility chain
+    (`_invariant_factors`).  Matrices with more than cap rows or columns
+    raise TooLarge.
     """
     rows = list(matrix)
     nr = len(rows)
@@ -401,6 +386,8 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
         rest ^= low
     if bd:
         raise ValueError("the chain is not a cycle")
-    # vec bounds iff reducing it against the pivots of d_{p+1} adds no pivot
+    # vec bounds iff the pivots of d_{p+1} reduce it to zero
     pivots = _gf2_pivots(boundary_matrix(k, p + 1).gf2_columns())
-    return len(_gf2_pivots([*pivots.values(), vec])) == len(pivots)
+    while vec and (lead := vec.bit_length() - 1) in pivots:
+        vec ^= pivots[lead]
+    return not vec

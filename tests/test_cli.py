@@ -10,6 +10,15 @@ from vrhq import cli
 from vrhq.complexes import format_complex, vietoris_rips
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -18,7 +27,7 @@ def run_cli(capsys, *argv):
 
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
-    return code, json.loads(out)
+    return code, strict_loads(out)
 
 
 def load_schema(name):
@@ -364,6 +373,10 @@ class TestFlagErrors:
         ["gamma-t", "--n", "3", "--r", "1", "--exhaustive", "--time-limit", "0s"],
         ["homology", "--complex", "missing.cx", "--up-to", "1", "--max-simplices", "1"],
         ["homology", "--n", "3", "--r", "1", "--up-to", "1", "--snf-cap", "0"],
+        ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "nan"],
+        ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "inf"],
+        ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "1e400s"],
+        ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "1e308h"],
     ])
     def test_exit_2(self, capsys, argv):
         assert cli.main(argv) == 2
@@ -467,7 +480,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "vrhq", "bound", "--n", "7", "--r", "5"],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["result"]["connectivity"] == 6
+        assert strict_loads(proc.stdout)["result"]["connectivity"] == 6
 
     def test_version_flag(self):
         proc = subprocess.run([sys.executable, "-m", "vrhq", "--version"],

@@ -257,10 +257,9 @@ class TestIndependentGf2:
 
 class TestSmithNormalForm:
     @pytest.fixture
-    def core_shapes(self, monkeypatch):
-        """Shapes of the residual cores the unit passes leave, one per
-        elimination: nonzero rows and columns at the first pivot that is
-        not +-1, or (0, 0) when there is none."""
+    def non_unit_shapes(self, monkeypatch):
+        """One shape per elimination: the nonzero rows and columns left at
+        its first pivot that is not +-1, or (0, 0) when every pivot is."""
         shapes = []
         pivots = ho._pivots
 
@@ -312,24 +311,29 @@ class TestSmithNormalForm:
         ([[1, 2], [1, 5]], (1, 3), (1, 1)),
         # U . diag(1, 1, 3, 6) . V with unimodular U, V: two units, core with 3 and 6
         ([[1, 2, 0, 3], [1, 3, 1, 3], [0, 1, 4, 6], [2, 4, 3, 18]], (1, 1, 3, 6), (2, 2)),
-        # column 0 gets its unit only from the pivot in column 1: a second pass
-        ([[2, 1], [3, 1]], (1, 1), (0, 0)),
+        # column 0 holds no unit: it is pivoted at 2 before column 1's units
+        ([[2, 1], [3, 1]], (1, 1), (2, 2)),
         # no unit entry at all: the core is the whole matrix
         ([[2, 0], [0, 3]], (1, 6), (2, 2)),
         # the pivot 3 leaves the remainder 2 in its row; in that column the
         # entry 1 has floor quotient 0 by 2, so its row is left alone
         ([[3, -4], [3, -3]], (1, 3), (2, 2)),
+        # pivot 2 at (1, 0), then 1 at (1, 1) reduces row 0 and refills
+        # column 0 with -2: one pass over column 0 would report (1,)
+        ([[0, 1], [2, 1]], (1, 2), (2, 2)),
+        # the transpose: the unit pivot in column 0 leaves the core [[2]]
+        ([[0, 2], [1, 1]], (1, 2), (1, 1)),
     ])
-    def test_residual_core_reaches_dense_stage(self, core_shapes, matrix, factors, core):
+    def test_shape_at_first_non_unit_pivot(self, non_unit_shapes, matrix, factors, core):
         assert ho.smith_normal_form(matrix) == factors == oracle_factors(matrix)
-        assert core_shapes == [core]
+        assert non_unit_shapes == [core]
 
-    def test_flag_complex_boundaries_leave_no_core(self, core_shapes):
+    def test_flag_complex_boundaries_leave_no_core(self, non_unit_shapes):
         k = cx.vietoris_rips(4, 2, 4)
         for p in range(1, 5):
             factors = ho.smith_normal_form(ho.boundary_matrix(k, p).dense_rows())
             assert set(factors) == {1}
-        assert core_shapes == [(0, 0)] * 4
+        assert non_unit_shapes == [(0, 0)] * 4
 
     def test_doubled_boundary_has_doubled_factors(self):
         # 2 d_2 of VR(Q_5;2) is 240 x 640 with every entry +-2: no unit pivot
