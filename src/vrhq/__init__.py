@@ -15,10 +15,9 @@ from .bounds import (ConnectivityBound, ExactRatio, alpha, binomial,
                      tail_degree)
 from .complexes import (SimplicialComplex, WitnessReport,
                         cross_polytope_witness_check,
-                        enumerate_cross_polytope_patterns, euler_characteristic,
-                        f_vector, fundamental_cycle, independence_complex,
-                        parse_complex, read_complex_file, vietoris_rips,
-                        write_complex_file)
+                        enumerate_cross_polytope_patterns, fundamental_cycle,
+                        independence_complex, parse_complex, read_complex_file,
+                        vietoris_rips, write_complex_file)
 from .domination import (DominationResult, exact_gamma_t, gamma_t_exhaustive,
                          greedy_upper_bound, is_total_dominating,
                          tight_example_graph, trivial_lower_bound)
@@ -34,9 +33,9 @@ __all__ = [
     "connectivity_lower_bound", "consistency_check_2r", "counterexample_scan",
     "grid_table", "reference_table", "tail_degree",
     "SimplicialComplex", "WitnessReport", "cross_polytope_witness_check",
-    "enumerate_cross_polytope_patterns", "euler_characteristic", "f_vector",
-    "fundamental_cycle", "independence_complex", "parse_complex",
-    "read_complex_file", "vietoris_rips", "write_complex_file",
+    "enumerate_cross_polytope_patterns", "fundamental_cycle",
+    "independence_complex", "parse_complex", "read_complex_file",
+    "vietoris_rips", "write_complex_file",
     "DominationResult", "exact_gamma_t", "gamma_t_exhaustive",
     "greedy_upper_bound", "is_total_dominating", "tight_example_graph",
     "trivial_lower_bound",

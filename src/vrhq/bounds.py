@@ -37,8 +37,12 @@ def binomial(n: int, i: int) -> int:
 
 def tail_degree(n: int, r: int) -> int:
     """sum_{i=r+1..n} C(n, i): the degree of every vertex of the complement
-    graph on Q_n at scale r.  Zero when r >= n (empty sum)."""
+    graph on Q_n at scale r.  Zero when r >= n (empty sum).  Summed over
+    whichever side of the row of binomials has fewer terms."""
     _validate_pair(n, r)
+    if r + 1 <= n - r:
+        # sum_{i=0..n} C(n, i) = 2^n
+        return (1 << n) - sum(math.comb(n, i) for i in range(r + 1))
     return sum(math.comb(n, i) for i in range(r + 1, n + 1))
 
 
@@ -155,22 +159,11 @@ PUBLISHED_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class TableRow:
-    n: int
-    r: int
-    connectivity: int
-    printed: int | None = None
-    agrees: bool | None = None
-
-
-def reference_table() -> list[TableRow]:
-    """Recompute the eight published example rows, flagging agreement per row."""
-    rows = []
-    for n, r, printed in PUBLISHED_ROWS:
-        c = connectivity_lower_bound(n, r).connectivity
-        rows.append(TableRow(n, r, c, printed=printed, agrees=(c == printed)))
-    return rows
+def reference_table() -> list[tuple[int, int, int, int]]:
+    """(n, r, c, printed) for the eight published example rows: c is the
+    recomputed bound, printed the published value; they agree when equal."""
+    return [(n, r, connectivity_lower_bound(n, r).connectivity, printed)
+            for n, r, printed in PUBLISHED_ROWS]
 
 
 def published_value(n: int, r: int) -> int | None:
@@ -202,13 +195,13 @@ def _grid(n_lo: int, n_max: int, r_max: int | None = None):
             yield n, r, c
 
 
-def grid_table(n_max: int, r_max: int | None = None) -> list[TableRow]:
-    """Bounds for every pair 1 <= n <= n_max, 0 <= r <= min(r_max, n - 1)."""
+def grid_table(n_max: int, r_max: int | None = None) -> list[tuple[int, int, int]]:
+    """(n, r, c) for every pair 1 <= n <= n_max, 0 <= r <= min(r_max, n - 1)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if r_max is not None and r_max < 0:
         raise ValueError("r_max must be >= 0")
-    return [TableRow(n, r, c) for n, r, c in _grid(1, n_max, r_max)]
+    return list(_grid(1, n_max, r_max))
 
 
 def counterexample_scan(n_max: int) -> list[tuple[int, int, int]]:

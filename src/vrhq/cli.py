@@ -4,8 +4,9 @@ Every subcommand prints one output envelope (see render.py) and exits 0 for
 mathematical results, including negative ones such as an empty
 counterexample list or a failed witness check.  Exit 2 flags bad usage or
 violated preconditions, exit 3 ingestion/parse failures, exit 4 resource
-caps.  Caps are configurable, flags taking precedence over VRHQ_* environment
-variables over built-in defaults.
+caps.  A command line that argparse rejects prints no envelope, only its
+usage message on stderr.  Caps are configurable, flags taking precedence
+over VRHQ_* environment variables over built-in defaults.
 """
 
 from __future__ import annotations
@@ -168,14 +169,15 @@ def _cmd_table(args):
     if args.paper:
         if args.n_max is not None or args.r_max is not None:
             raise ValueError("--paper excludes --n-max/--r-max")
-        rows = bounds.reference_table()
+        rows = [{"n": n, "r": r, "connectivity": c, "printed": printed,
+                 "agrees": c == printed}
+                for n, r, c, printed in bounds.reference_table()]
     else:
         if args.n_max is None:
             raise ValueError("--n-max is required without --paper")
-        rows = bounds.grid_table(args.n_max, args.r_max)
-    return {"paper": args.paper,
-            "rows": [{"n": t.n, "r": t.r, "connectivity": t.connectivity,
-                      "printed": t.printed, "agrees": t.agrees} for t in rows]}
+        rows = [{"n": n, "r": r, "connectivity": c, "printed": None, "agrees": None}
+                for n, r, c in bounds.grid_table(args.n_max, args.r_max)]
+    return {"paper": args.paper, "rows": rows}
 
 
 def _cmd_counterexamples(args):

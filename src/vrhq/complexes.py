@@ -44,9 +44,11 @@ class SimplicialComplex:
         return {s: i for i, s in enumerate(self.simplices(d))}
 
     def f_vector(self) -> tuple[int, ...]:
+        """Simplex counts per dimension, trailing zeros kept up to the truncation."""
         return tuple(len(bucket) for bucket in self._by_dim)
 
     def euler_characteristic(self) -> int:
+        """Alternating sum of the f-vector of the complex as built."""
         return sum((-1) ** d * len(bucket) for d, bucket in enumerate(self._by_dim))
 
     def __eq__(self, other):
@@ -59,16 +61,6 @@ class SimplicialComplex:
     def __repr__(self):
         return (f"SimplicialComplex(n_vertices={self.n_vertices}, "
                 f"f_vector={self.f_vector()})")
-
-
-def f_vector(k: SimplicialComplex) -> tuple[int, ...]:
-    """Simplex counts per dimension, trailing zeros kept up to the truncation."""
-    return k.f_vector()
-
-
-def euler_characteristic(k: SimplicialComplex) -> int:
-    """Alternating sum of the f-vector of the complex as built."""
-    return k.euler_characteristic()
 
 
 def _clique_complex(rows, m, max_dim, max_simplices):

@@ -45,11 +45,12 @@ class TestTailDegree:
             assert bounds.tail_degree(n, n + 3) == 0
 
     def test_two_summations_agree(self):
-        # tail == 2^n - head, computed independently
+        # the tail against 2^n - head and against the direct tail sum
         for n in range(1, 65):
-            for r in range(0, n + 1):
+            for r in range(0, n + 3):
+                direct = sum(bounds.binomial(n, i) for i in range(r + 1, n + 1))
                 head = sum(bounds.binomial(n, i) for i in range(0, r + 1))
-                assert bounds.tail_degree(n, r) == (1 << n) - head
+                assert bounds.tail_degree(n, r) == direct == (1 << n) - head
 
 
 class TestExactRatio:
@@ -163,19 +164,16 @@ class TestReferenceTable:
     def test_agreement_flags(self):
         rows = bounds.reference_table()
         assert len(rows) == 8
-        assert [(t.n, t.r) for t in rows] == [(n, r) for n, r, _ in bounds.PUBLISHED_ROWS]
-        agrees = [t.agrees for t in rows]
+        assert [(n, r, printed) for n, r, _, printed in rows] == list(bounds.PUBLISHED_ROWS)
+        agrees = [c == printed for _, _, c, printed in rows]
         assert agrees == [True] * 7 + [False]
-        assert rows[2].connectivity == 24 and rows[2].printed == 24
-        assert rows[5].connectivity == 6897
-        assert rows[7].connectivity == 24965 and rows[7].printed == 24964
+        assert rows[2][2:] == (24, 24)
+        assert rows[5][2] == 6897
+        assert rows[7][2:] == (24965, 24964)
 
     def test_grid_table(self):
         assert len(bounds.grid_table(3, 2)) == 6
-        assert len(bounds.grid_table(1)) == 1
-        row = bounds.grid_table(1)[0]
-        assert (row.n, row.r, row.connectivity) == (1, 0, -1)
-        assert row.printed is None and row.agrees is None
+        assert bounds.grid_table(1) == [(1, 0, -1)]
 
     def test_grid_table_validation(self):
         with pytest.raises(ValueError):
@@ -251,7 +249,7 @@ class TestGrid:
         for n in range(1, GRID_N + 1):
             top = n - 1 if r_max is None else min(r_max, n - 1)
             for r in range(0, top + 1):
-                want.append(bounds.TableRow(n, r, per_pair[n, r]))
+                want.append((n, r, per_pair[n, r]))
         assert bounds.grid_table(GRID_N, r_max) == want
 
     def test_counterexample_scan_matches_per_pair_loop(self, per_pair):

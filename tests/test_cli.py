@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from vrhq import cli
+from vrhq import bounds, cli
 from vrhq.complexes import format_complex, vietoris_rips
 
 
@@ -114,6 +114,33 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0] == "n,r,connectivity,printed,agrees"
         assert len(out.splitlines()) == 7
+
+    @staticmethod
+    def per_pair(n_max):
+        return [(n, r, bounds.connectivity_lower_bound(n, r).connectivity)
+                for n in range(1, n_max + 1) for r in range(n)]
+
+    def test_grid_csv_bytes_match_per_pair_bounds(self, capsys):
+        code, out = run_cli(capsys, "table", "--n-max", "12", "--format", "csv")
+        assert code == 0
+        want = ["n,r,connectivity,printed,agrees"]
+        want += [f"{n},{r},{c},," for n, r, c in self.per_pair(12)]
+        assert out.splitlines() == want
+
+    def test_grid_json_rows_match_per_pair_bounds(self, capsys):
+        code, env = run_json(capsys, "table", "--n-max", "12")
+        assert code == 0
+        assert list(env["result"]["rows"][0]) == ["n", "r", "connectivity", "printed", "agrees"]
+        assert env["result"]["rows"] == [
+            {"n": n, "r": r, "connectivity": c, "printed": None, "agrees": None}
+            for n, r, c in self.per_pair(12)]
+
+    def test_paper_csv_flags_the_last_row(self, capsys):
+        code, out = run_cli(capsys, "table", "--paper", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 9
+        assert lines[-1] == "20,18,24965,24964,false"
 
 
 class TestCounterexamples:
@@ -381,6 +408,31 @@ class TestFlagErrors:
     def test_exit_2(self, capsys, argv):
         assert cli.main(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["bound", "--n", "7"],
+        ["bound", "--n", "x", "--r", "1"],
+        ["bound", "--n", "7", "--r", "5", "--format", "yaml"],
+        ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "soon"],
+        [],
+    ])
+    def test_parse_errors_print_no_envelope(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--paper", "--n-max", "3"],
+        ["homology", "--n", "3", "--r", "1", "--up-to", "1", "--snf-cap", "0"],
+    ])
+    def test_errors_after_parsing_print_one_envelope(self, capsys, argv):
+        code, env = run_json(capsys, *argv)
+        assert code == 2
+        assert env["result"] is None
+        assert env["status"]["code"] == "value_error"
+        validate_envelope(env)
 
     def test_gf2_does_not_read_the_snf_cap_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("VRHQ_SNF_CAP", "-3")

@@ -120,10 +120,10 @@ class TestIndependenceComplex:
 class TestFVectorEuler:
     def test_examples(self):
         k = cx.vietoris_rips(2, 1, 1)
-        assert cx.f_vector(k) == (4, 4)
-        assert cx.euler_characteristic(k) == 0
-        assert cx.euler_characteristic(cx.vietoris_rips(3, 2, 3)) == 8 - 24 + 32 - 16 == 0
-        assert cx.euler_characteristic(cx.vietoris_rips(3, 3, 7)) == 1
+        assert k.f_vector() == (4, 4)
+        assert k.euler_characteristic() == 0
+        assert cx.vietoris_rips(3, 2, 3).euler_characteristic() == 8 - 24 + 32 - 16 == 0
+        assert cx.vietoris_rips(3, 3, 7).euler_characteristic() == 1
 
 
 class TestWitnessCheck:
