@@ -9,38 +9,34 @@ homology over GF(2) and Z, and cross-polytope witness certificates.
 
 __version__ = "0.1.0"
 
-from .bounds import (ConnectivityBound, ExactRatio, alpha, binomial,
+from .bounds import (ConnectivityBound, ExactRatio, alpha,
                      connectivity_lower_bound, consistency_check_2r,
                      counterexample_scan, grid_table, reference_table,
                      tail_degree)
 from .complexes import (SimplicialComplex, WitnessReport,
-                        cross_polytope_witness_check,
-                        enumerate_cross_polytope_patterns, fundamental_cycle,
+                        cross_polytope_witness_check, fundamental_cycle,
                         independence_complex, parse_complex, read_complex_file,
                         vietoris_rips, write_complex_file)
 from .domination import (DominationResult, exact_gamma_t, gamma_t_exhaustive,
                          greedy_upper_bound, is_total_dominating,
-                         tight_example_graph, trivial_lower_bound)
+                         trivial_lower_bound)
 from .homology import (BettiProfile, BoundaryMatrix, betti_gf2,
                        boundary_matrix, cycle_is_gf2_boundary,
                        reduced_homology, smith_normal_form)
 from .hypercube import (Graph, antipode, build_hamming_graph, cube_dimension,
-                        degree_profile, hamming_distance, read_dimacs,
-                        write_dimacs)
+                        hamming_distance, read_dimacs, write_dimacs)
 
 __all__ = [
-    "ConnectivityBound", "ExactRatio", "alpha", "binomial",
+    "ConnectivityBound", "ExactRatio", "alpha",
     "connectivity_lower_bound", "consistency_check_2r", "counterexample_scan",
     "grid_table", "reference_table", "tail_degree",
     "SimplicialComplex", "WitnessReport", "cross_polytope_witness_check",
-    "enumerate_cross_polytope_patterns", "fundamental_cycle",
-    "independence_complex", "parse_complex", "read_complex_file",
-    "vietoris_rips", "write_complex_file",
+    "fundamental_cycle", "independence_complex", "parse_complex",
+    "read_complex_file", "vietoris_rips", "write_complex_file",
     "DominationResult", "exact_gamma_t", "gamma_t_exhaustive",
-    "greedy_upper_bound", "is_total_dominating", "tight_example_graph",
-    "trivial_lower_bound",
+    "greedy_upper_bound", "is_total_dominating", "trivial_lower_bound",
     "BettiProfile", "BoundaryMatrix", "betti_gf2", "boundary_matrix",
     "cycle_is_gf2_boundary", "reduced_homology", "smith_normal_form",
     "Graph", "antipode", "build_hamming_graph", "cube_dimension",
-    "degree_profile", "hamming_distance", "read_dimacs", "write_dimacs",
+    "hamming_distance", "read_dimacs", "write_dimacs",
 ]

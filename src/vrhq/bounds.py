@@ -10,45 +10,50 @@ on Q_n.  The complex VR(Q_n; r) is guaranteed (k-1)-connected where k is the
 largest integer strictly below alpha (k = alpha - 1 when alpha is an
 integer, floor(alpha) otherwise), that is c = ceil(alpha) - 2.
 
-A single pair costs one binomial tail sum.  Whole grids (`grid_table`,
-`counterexample_scan`, `consistency_check_2r`) share one generator that, for
-each n, walks r downwards and keeps a running tail updated by the binomial
-ratio C(n, r) = C(n, r+1) * (r+1) / (n-r): one small-factor update and one
-divmod per pair, O(n^2) big-integer operations over a grid up to n.
+Every binomial sum comes from one generator, `_running_tails`, which for
+each n walks r downwards and keeps a running tail updated by the binomial
+ratio C(n, r) = C(n, r+1) * (r+1) / (n-r): one small-factor update per
+step.  A single pair (`tail_degree`, `alpha`) walks only the shorter side of
+the row, at most n/2 + 1 steps; whole grids (`grid_table`,
+`counterexample_scan`, `consistency_check_2r`) take each row whole, O(n^2)
+big-integer operations over a grid up to n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
 from .errors import DegenerateScale
 
 
-def binomial(n: int, i: int) -> int:
-    """C(n, i), exact; 0 when i > n."""
-    if n < 0 or i < 0:
-        raise ValueError("binomial requires non-negative arguments")
-    if i > n:
-        return 0
-    return math.comb(n, i)
+def _running_tails(n: int):
+    """Yield sum_{i=r+1..n} C(n, i) for r = n - 1 down to 0, advancing the
+    binomial by its ratio C(n, r) = C(n, r+1) * (r+1) / (n-r)."""
+    tail = 0
+    b = 1  # C(n, r + 1), starting from C(n, n)
+    for r in range(n - 1, -1, -1):
+        tail += b
+        yield tail
+        b = b * (r + 1) // (n - r)
 
 
 def tail_degree(n: int, r: int) -> int:
     """sum_{i=r+1..n} C(n, i): the degree of every vertex of the complement
-    graph on Q_n at scale r.  Zero when r >= n (empty sum).  Summed over
-    whichever side of the row of binomials has fewer terms."""
+    graph on Q_n at scale r.  Zero when r >= n (empty sum).  Walks whichever
+    side of the row of binomials has fewer terms: the head sum_{i<=r} C(n, i)
+    is the tail at n - r - 1 by symmetry, and the row sums to 2^n."""
     _validate_pair(n, r)
-    if r + 1 <= n - r:
-        # sum_{i=0..n} C(n, i) = 2^n
-        return (1 << n) - sum(math.comb(n, i) for i in range(r + 1))
-    return sum(math.comb(n, i) for i in range(r + 1, n + 1))
+    if r >= n:
+        return 0
+    walked = next(islice(_running_tails(n), min(r, n - 1 - r), None))
+    return walked if r > n - 1 - r else (1 << n) - walked
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExactRatio:
-    """An unreduced non-negative rational; equality by cross-multiplication."""
+    """A non-negative rational, stored unreduced as computed; instances
+    compare field by field, so ExactRatio(64, 8) != ExactRatio(8, 1)."""
 
     numerator: int
     denominator: int
@@ -59,23 +64,9 @@ class ExactRatio:
         if self.numerator < 0:
             raise ValueError("numerator must be non-negative")
 
-    def __eq__(self, other):
-        if isinstance(other, ExactRatio):
-            return self.numerator * other.denominator == other.numerator * self.denominator
-        if isinstance(other, int):
-            return self.numerator == other * self.denominator
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(Fraction(self.numerator, self.denominator))
-
     @property
     def is_integer(self) -> bool:
         return self.numerator % self.denominator == 0
-
-    @property
-    def floor(self) -> int:
-        return self.numerator // self.denominator
 
 
 @dataclass(frozen=True)
@@ -176,23 +167,14 @@ def published_value(n: int, r: int) -> int | None:
 
 def _grid(n_lo: int, n_max: int, r_max: int | None = None):
     """Yield (n, r, c) for n_lo <= n <= n_max and 0 <= r <= min(r_max, n - 1),
-    ascending in n, then in r; c is the bound of connectivity_lower_bound.
-
-    For each n the tail is accumulated from r = n - 1 down to 0, with the
-    binomial advanced by its ratio rather than recomputed by math.comb."""
+    ascending in n, then in r; c is the bound of connectivity_lower_bound,
+    from one running tail per n."""
     for n in range(n_lo, n_max + 1):
         top = n - 1 if r_max is None else min(r_max, n - 1)
         half_order = 1 << (n - 1)
-        tail = 0
-        b = 1  # C(n, r + 1), starting from C(n, n)
-        down = []
-        for r in range(n - 1, -1, -1):
-            tail += b
-            if r <= top:
-                down.append(_rounded_connectivity(half_order, tail))
-            b = b * (r + 1) // (n - r)
-        for r, c in enumerate(reversed(down)):
-            yield n, r, c
+        tails = list(_running_tails(n))  # tails[n - 1 - r] is the tail at r
+        for r in range(top + 1):
+            yield n, r, _rounded_connectivity(half_order, tails[n - 1 - r])
 
 
 def grid_table(n_max: int, r_max: int | None = None) -> list[tuple[int, int, int]]:

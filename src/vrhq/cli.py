@@ -146,21 +146,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bound(args):
-    b = bounds.connectivity_lower_bound(args.n, args.r)
-    if b.is_contractible:
+    if args.r >= args.n:
+        # validates the pair; at r >= n the bound is Contractible
+        bounds.connectivity_lower_bound(args.n, args.r)
         return {"n": args.n, "r": args.r, "contractible": True, "alpha": None,
                 "k": None, "connectivity": None, "paper_discrepancy": None}
+    # one tail sum: the bound is rounded from alpha, not recomputed
     a = bounds.alpha(args.n, args.r)
+    c = bounds._rounded_connectivity(a.numerator, a.denominator)
     printed = bounds.published_value(args.n, args.r)
     discrepancy = None
-    if printed is not None and printed != b.connectivity:
-        discrepancy = {"printed": printed, "computed": b.connectivity}
+    if printed is not None and printed != c:
+        discrepancy = {"printed": printed, "computed": c}
     return {
         "n": args.n, "r": args.r, "contractible": False,
         "alpha": {"numerator": a.numerator, "denominator": a.denominator,
                   "is_integer": a.is_integer},
-        "k": b.connectivity + 1,
-        "connectivity": b.connectivity,
+        "k": c + 1,
+        "connectivity": c,
         "paper_discrepancy": discrepancy,
     }
 

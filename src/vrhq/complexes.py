@@ -18,7 +18,6 @@ from .hypercube import (MATERIALIZE_CEILING, Graph, build_hamming_graph,
                         hamming_distance)
 
 DEFAULT_MAX_SIMPLICES = 10 ** 8
-WITNESS_ENUMERATION_CEILING = 4
 
 
 class SimplicialComplex:
@@ -213,39 +212,6 @@ def fundamental_cycle(pairs) -> list[tuple[int, ...]]:
             raise ValueError("pairs must be pairwise disjoint")
         seen.update((a, b))
     return sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs))
-
-
-def enumerate_cross_polytope_patterns(n: int, r: int):
-    """Every vertex subset of Q_n passing the cross-polytope pattern at scale r.
-
-    Returns (vertices, pairs) tuples, vertices sorted, pairs being the
-    recovered matching.  Enumeration walks matchings of the distance->=r+1
-    graph whose pairs are pairwise close, which is exhaustive over subsets
-    because a pattern set determines its matching uniquely.  Capped at n <= 4.
-    """
-    if n > WITNESS_ENUMERATION_CEILING:
-        raise TooLarge(
-            f"exhaustive witness enumeration is capped at n = {WITNESS_ENUMERATION_CEILING}")
-    labels = range(1 << n)
-    far_edges = [(a, b) for a, b in itertools.combinations(labels, 2)
-                 if hamming_distance(a, b) > r]
-
-    def compatible(e, f):
-        return all(hamming_distance(x, y) <= r for x in e for y in f)
-
-    results = []
-
-    def extend(start, chosen):
-        for i in range(start, len(far_edges)):
-            e = far_edges[i]
-            if all(compatible(e, f) for f in chosen):
-                chosen.append(e)
-                results.append(tuple(chosen))
-                extend(i + 1, chosen)
-                chosen.pop()
-
-    extend(0, [])
-    return [(tuple(sorted(v for p in ps for v in p)), ps) for ps in results]
 
 
 def format_complex(k: SimplicialComplex) -> str:

@@ -1,4 +1,4 @@
-"""Total domination: verification, bounds, exact search, and the tight family.
+"""Total domination: verification, bounds and exact search.
 
 A set S totally dominates G when every vertex of G, members of S included,
 has a neighbor in S (open-neighborhood semantics: membership in S does not
@@ -434,27 +434,3 @@ def gamma_t_exhaustive(g: Graph) -> int:
             if all(row & smask for row in rows):
                 return k
     raise AssertionError("unreachable: V itself totally dominates")
-
-
-def tight_example_graph(delta: int, pairs: int) -> Graph:
-    """Disjoint union of `pairs` gadgets achieving gamma_t = m / delta.
-
-    Each gadget has two adjacent centers, and each center carries delta - 1
-    private leaves, so centers have degree delta, the gadget has 2 * delta
-    vertices, and both centers together dominate it totally.
-    """
-    if delta < 2:
-        raise ValueError("delta must be >= 2")
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    comp = 2 * delta
-    edges = []
-    for p in range(pairs):
-        base = p * comp
-        a, b = base, base + 1
-        edges.append((a, b))
-        for leaf in range(base + 2, base + delta + 1):
-            edges.append((a, leaf))
-        for leaf in range(base + delta + 1, base + comp):
-            edges.append((b, leaf))
-    return Graph.from_edges(pairs * comp, edges)

@@ -15,8 +15,10 @@ from collections import Counter
 from .bitops import iter_bits
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
 
-# 2^24 rows is the practical memory edge for explicit materialization;
-# larger n is still served implicitly through hamming_distance().
+# Bounds n only, not memory: an explicit graph on Q_n holds 2^n adjacency
+# rows of 2^n bits, 2^(2n) / 8 bytes in all, already 512 MiB at n = 16 and
+# 32 TiB at n = 24.  Larger n is still served implicitly through
+# hamming_distance().
 MATERIALIZE_CEILING = 24
 
 
@@ -169,11 +171,6 @@ def cube_dimension(rows, expired=None) -> int:
         if expired is not None and expired() or rows[v] != _translated(rows, v, patterns):
             return 0
     return n
-
-
-def degree_profile(g: Graph) -> dict[int, int]:
-    """Histogram mapping degree -> number of vertices with that degree."""
-    return dict(Counter(g.degrees()))
 
 
 def read_dimacs(text: str) -> Graph:

@@ -8,6 +8,8 @@ stay around so the freezing can be audited and re-run.  The domination
 references are frozen copies of the solver's earlier, simpler form, kept so
 that faster rewrites can be required to return the same answer in no more
 nodes; gamma_t is also solved as an integer program by scipy's HiGHS.
+`tight_example_graph` is a fixture: a gadget family on which the trivial
+bound ceil(m / max_degree) is exact.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import random
 from fractions import Fraction
 
 import numpy as np
+
+from vrhq.hypercube import Graph
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -169,6 +173,30 @@ def brute_pattern_sets(n: int, r: int) -> list[tuple[int, ...]]:
         if ok:
             out.append(tuple(verts))
     return out
+
+
+def tight_example_graph(delta: int, pairs: int) -> Graph:
+    """Disjoint union of `pairs` gadgets achieving gamma_t = m / delta.
+
+    Each gadget has two adjacent centers, and each center carries delta - 1
+    private leaves, so centers have degree delta, the gadget has 2 * delta
+    vertices, and both centers together dominate it totally.
+    """
+    if delta < 2:
+        raise ValueError("delta must be >= 2")
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
+    comp = 2 * delta
+    edges = []
+    for p in range(pairs):
+        base = p * comp
+        a, b = base, base + 1
+        edges.append((a, b))
+        for leaf in range(base + 2, base + delta + 1):
+            edges.append((a, leaf))
+        for leaf in range(base + delta + 1, base + comp):
+            edges.append((b, leaf))
+    return Graph.from_edges(pairs * comp, edges)
 
 
 def random_isolated_free_graphs(count: int, max_m: int, seed: int):

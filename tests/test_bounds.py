@@ -1,39 +1,65 @@
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrhq import bounds
+from vrhq import bounds, cli
 from vrhq.errors import DegenerateScale
 
 from tests.oracles import bound_oracle, pascal_binomial
 
 
+@pytest.fixture(scope="module")
+def comb_rows():
+    """C(n, i) for i = 0..n by math.comb, one call per term, independent of
+    the running binomial ratio; built once for the large rows."""
+    return {n: [math.comb(n, i) for i in range(n + 1)] for n in (1024, 5000)}
+
+
+def ratio_steps(n):
+    """The binomials the running tail adds in turn: C(n, n), C(n, n - 1),
+    ..., C(n, 1), read back as differences of consecutive tails."""
+    tails = list(bounds._running_tails(n))
+    return [b - a for a, b in zip([0] + tails, tails)]
+
+
 class TestBinomial:
+    """The binomials the running tail steps through, against the Pascal
+    triangle of tests.oracles."""
+
     def test_examples(self):
-        assert bounds.binomial(7, 0) == 1
-        assert bounds.binomial(8, 7) == 8
+        assert ratio_steps(7)[6] == 7  # C(7, 1)
+        assert ratio_steps(8)[1] == 8  # C(8, 7)
         # frozen from the Pascal-triangle oracle
         assert pascal_binomial(20, 17) == 1140
-        assert bounds.binomial(20, 17) == 1140
+        assert ratio_steps(20)[3] == 1140  # C(20, 17)
 
-    def test_out_of_range_is_zero(self):
-        assert bounds.binomial(5, 6) == 0
-        assert bounds.binomial(0, 3) == 0
+    def test_out_of_range_is_zero(self, monkeypatch):
+        # one tail per r in 0..n-1; r >= n is the empty sum, never walked
+        for n in (1, 2, 9):
+            assert len(list(bounds._running_tails(n))) == n
+        walked = []
+        monkeypatch.setattr(bounds, "_running_tails", walked.append)
+        assert bounds.tail_degree(9, 9) == bounds.tail_degree(9, 12) == 0
+        assert walked == []
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            bounds.binomial(-1, 0)
+            bounds.tail_degree(-1, 0)
         with pytest.raises(ValueError):
-            bounds.binomial(3, -2)
+            bounds.tail_degree(3, -2)
 
     def test_matches_pascal_oracle(self):
-        for n in range(0, 26):
-            for i in range(0, n + 3):
-                assert bounds.binomial(n, i) == pascal_binomial(n, i)
+        for n in range(1, 26):
+            assert ratio_steps(n) == [pascal_binomial(n, i) for i in range(n, 0, -1)]
 
-    def test_large_is_exact(self):
-        assert bounds.binomial(1024, 512) % 2 == 0
-        assert bounds.binomial(1024, 0) == 1
+    def test_large_is_exact(self, comb_rows):
+        for n, row in comb_rows.items():
+            assert ratio_steps(n) == row[:0:-1]
+        assert ratio_steps(1024)[512] % 2 == 0  # C(1024, 512)
+        assert list(bounds._running_tails(1024))[-1] == (1 << 1024) - 1
 
 
 class TestTailDegree:
@@ -44,24 +70,44 @@ class TestTailDegree:
             assert bounds.tail_degree(n, n) == 0
             assert bounds.tail_degree(n, n + 3) == 0
 
-    def test_two_summations_agree(self):
-        # the tail against 2^n - head and against the direct tail sum
+    def test_two_summations_agree(self, comb_rows):
+        # the tail against 2^n - head and against the direct tail sum, both
+        # by math.comb, which shares nothing with the running ratio
         for n in range(1, 65):
             for r in range(0, n + 3):
-                direct = sum(bounds.binomial(n, i) for i in range(r + 1, n + 1))
-                head = sum(bounds.binomial(n, i) for i in range(0, r + 1))
+                direct = sum(math.comb(n, i) for i in range(r + 1, n + 1))
+                head = sum(math.comb(n, i) for i in range(0, r + 1))
                 assert bounds.tail_degree(n, r) == direct == (1 << n) - head
+        for n, row in comb_rows.items():
+            for r in (0, 5, n // 2 - 1, n // 2, n // 2 + 1, n - 1):
+                direct, head = sum(row[r + 1:]), sum(row[:r + 1])
+                assert bounds.tail_degree(n, r) == direct == (1 << n) - head, (n, r)
+
+    def test_bound_command_sums_once(self, monkeypatch, capsys, comb_rows):
+        calls = []
+        original = bounds.tail_degree
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "tail_degree", spy)
+        assert cli.main(["bound", "--n", "5000", "--r", "2500"]) == 0
+        assert calls == [(5000, 2500)]
+        alpha = json.loads(capsys.readouterr().out)["result"]["alpha"]
+        assert alpha["denominator"] == sum(comb_rows[5000][2501:])
+        assert alpha["numerator"] == 1 << 4999
 
 
 class TestExactRatio:
     def test_alpha_examples(self):
         a = bounds.alpha(7, 5)
         assert (a.numerator, a.denominator) == (64, 8)
-        assert a.is_integer and a.floor == 8
+        assert a.is_integer and a.numerator // a.denominator == 8
 
         b = bounds.alpha(8, 6)
         assert (b.numerator, b.denominator) == (128, 9)
-        assert not b.is_integer and b.floor == 14
+        assert not b.is_integer and b.numerator // b.denominator == 14
 
         c = bounds.alpha(2, 1)
         assert (c.numerator, c.denominator) == (2, 1)
@@ -69,12 +115,6 @@ class TestExactRatio:
     def test_stored_unreduced(self):
         a = bounds.alpha(7, 5)
         assert a.denominator == 8  # not reduced to 8/1
-
-    def test_cross_multiplication_equality(self):
-        assert bounds.ExactRatio(64, 8) == bounds.ExactRatio(8, 1)
-        assert bounds.ExactRatio(64, 8) == 8
-        assert bounds.ExactRatio(3, 2) != bounds.ExactRatio(4, 3)
-        assert hash(bounds.ExactRatio(64, 8)) == hash(bounds.ExactRatio(8, 1))
 
     def test_degenerate_scale(self):
         with pytest.raises(DegenerateScale):

@@ -196,25 +196,31 @@ class TestWitnessCheck:
 
 
 class TestPatternEnumeration:
+    """The witness checker against the raw subset scan of tests.oracles."""
+
     def test_q2_r1(self):
-        got = sorted(v for v, _ in cx.enumerate_cross_polytope_patterns(2, 1))
+        got = sorted(brute_pattern_sets(2, 1))
         assert got == [(0, 1, 2, 3), (0, 3), (1, 2)]
+        assert [cx.cross_polytope_witness_check(2, 1, v).recovered_pairs for v in got] \
+            == [((0, 3), (1, 2)), ((0, 3),), ((1, 2),)]
 
     def test_matches_brute_force(self):
+        # the checker accepts exactly the subsets the oracle finds
         for n in range(1, 4):
             for r in range(0, n):
-                got = sorted(v for v, _ in cx.enumerate_cross_polytope_patterns(n, r))
-                assert got == sorted(brute_pattern_sets(n, r)), (n, r)
+                want = set(brute_pattern_sets(n, r))
+                got = {verts for size in range(2, (1 << n) + 1, 2)
+                       for verts in itertools.combinations(range(1 << n), size)
+                       if cx.cross_polytope_witness_check(n, r, verts).is_cross_polytope_boundary}
+                assert got == want, (n, r)
 
     def test_every_result_passes_the_checker(self):
-        for verts, pairs in cx.enumerate_cross_polytope_patterns(3, 2):
+        for verts in brute_pattern_sets(3, 2):
             rep = cx.cross_polytope_witness_check(3, 2, verts)
             assert rep.is_cross_polytope_boundary
-            assert rep.recovered_pairs == tuple(sorted(pairs))
-
-    def test_ceiling(self):
-        with pytest.raises(TooLarge):
-            cx.enumerate_cross_polytope_patterns(5, 3)
+            pairs = [(a, b) for a, b in itertools.combinations(verts, 2)
+                     if (a ^ b).bit_count() > 2]
+            assert rep.recovered_pairs == tuple(pairs)
 
 
 class TestFundamentalCycle:

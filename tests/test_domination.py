@@ -9,7 +9,7 @@ from vrhq import bounds, domination as dom, hypercube as hc
 from vrhq.errors import IsolatedVertex, TooLarge
 
 from tests.oracles import (eager_greedy, milp_gamma_t, random_isolated_free_graphs,
-                          reference_gamma_t)
+                          reference_gamma_t, tight_example_graph)
 
 
 def figure_graph():
@@ -119,7 +119,7 @@ class TestBounds:
         assert dom.trivial_lower_bound(four_cycle()) == 2
         gc64 = hc.build_hamming_graph(6, 4, complemented=True)
         assert dom.trivial_lower_bound(gc64) == 10  # ceil(64 / 7)
-        tight = dom.tight_example_graph(4, 2)
+        tight = tight_example_graph(4, 2)
         assert dom.trivial_lower_bound(tight) == 4
 
     def test_greedy_examples(self):
@@ -603,19 +603,19 @@ class TestDeadline:
 
 class TestTightExamples:
     def test_delta_2_is_path_on_4(self):
-        g = dom.tight_example_graph(2, 1)
+        g = tight_example_graph(2, 1)
         assert g.m == 4 and sorted(g.degrees()) == [1, 1, 2, 2]
         assert dom.gamma_t_exhaustive(g) == 2
 
     def test_small_family_exact(self):
         for delta, pairs in [(3, 1), (3, 2), (4, 1), (5, 1)]:
-            g = dom.tight_example_graph(delta, pairs)
+            g = tight_example_graph(delta, pairs)
             assert g.m == pairs * 2 * delta
             assert g.max_degree == delta
             assert dom.gamma_t_exhaustive(g) == g.m // delta == 2 * pairs
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dom.tight_example_graph(1, 1)
+            tight_example_graph(1, 1)
         with pytest.raises(ValueError):
-            dom.tight_example_graph(3, 0)
+            tight_example_graph(3, 0)
