@@ -9,10 +9,9 @@ homology over GF(2) and Z, and cross-polytope witness certificates.
 
 __version__ = "0.1.0"
 
-from .bounds import (ConnectivityBound, ExactRatio, alpha,
-                     connectivity_lower_bound, consistency_check_2r,
-                     counterexample_scan, grid_table, reference_table,
-                     tail_degree)
+from .bounds import (ExactRatio, alpha, connectivity_lower_bound,
+                     consistency_check_2r, counterexample_scan, grid_table,
+                     reference_table, tail_degree)
 from .complexes import (SimplicialComplex, WitnessReport,
                         cross_polytope_witness_check, fundamental_cycle,
                         independence_complex, parse_complex, read_complex_file,
@@ -27,9 +26,9 @@ from .hypercube import (Graph, antipode, build_hamming_graph, cube_dimension,
                         hamming_distance, read_dimacs, write_dimacs)
 
 __all__ = [
-    "ConnectivityBound", "ExactRatio", "alpha",
-    "connectivity_lower_bound", "consistency_check_2r", "counterexample_scan",
-    "grid_table", "reference_table", "tail_degree",
+    "ExactRatio", "alpha", "connectivity_lower_bound",
+    "consistency_check_2r", "counterexample_scan", "grid_table",
+    "reference_table", "tail_degree",
     "SimplicialComplex", "WitnessReport", "cross_polytope_witness_check",
     "fundamental_cycle", "independence_complex", "parse_complex",
     "read_complex_file", "vietoris_rips", "write_complex_file",

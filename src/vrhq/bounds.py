@@ -11,12 +11,14 @@ largest integer strictly below alpha (k = alpha - 1 when alpha is an
 integer, floor(alpha) otherwise), that is c = ceil(alpha) - 2.
 
 Every binomial sum comes from one generator, `_running_tails`, which for
-each n walks r downwards and keeps a running tail updated by the binomial
-ratio C(n, r) = C(n, r+1) * (r+1) / (n-r): one small-factor update per
-step.  A single pair (`tail_degree`, `alpha`) walks only the shorter side of
-the row, at most n/2 + 1 steps; whole grids (`grid_table`,
-`counterexample_scan`, `consistency_check_2r`) take each row whole, O(n^2)
-big-integer operations over a grid up to n.
+each n walks r upwards from 0: the tail starts at 2^n - 1 and drops by the
+next binomial, itself advanced by its ratio C(n, r+1) = C(n, r) * (n-r) /
+(r+1), one small-factor update per step.  Every reader stops the walk as
+soon as it has what it asked for.  A single pair (`tail_degree`, `alpha`)
+walks only to the shorter side of the row, at most n/2 + 1 steps.  A grid
+up to N (`grid_table`, `counterexample_scan`, `consistency_check_2r`) costs
+O(N^2) big-integer steps, or O(N R) when `grid_table` stops each row at
+r_max = R.
 """
 
 from __future__ import annotations
@@ -25,17 +27,18 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import DegenerateScale
+from .hypercube import validate_pair
 
 
 def _running_tails(n: int):
-    """Yield sum_{i=r+1..n} C(n, i) for r = n - 1 down to 0, advancing the
-    binomial by its ratio C(n, r) = C(n, r+1) * (r+1) / (n-r)."""
-    tail = 0
-    b = 1  # C(n, r + 1), starting from C(n, n)
-    for r in range(n - 1, -1, -1):
-        tail += b
+    """Yield sum_{i=r+1..n} C(n, i) for r = 0 up to n - 1, subtracting each
+    binomial C(n, r+1) = C(n, r) * (n-r) / (r+1) as the walk reaches it."""
+    tail = (1 << n) - 1
+    b = 1  # C(n, r), starting from C(n, 0)
+    for r in range(n):
         yield tail
-        b = b * (r + 1) // (n - r)
+        b = b * (n - r) // (r + 1)
+        tail -= b
 
 
 def tail_degree(n: int, r: int) -> int:
@@ -43,11 +46,12 @@ def tail_degree(n: int, r: int) -> int:
     graph on Q_n at scale r.  Zero when r >= n (empty sum).  Walks whichever
     side of the row of binomials has fewer terms: the head sum_{i<=r} C(n, i)
     is the tail at n - r - 1 by symmetry, and the row sums to 2^n."""
-    _validate_pair(n, r)
+    validate_pair(n, r)
     if r >= n:
         return 0
-    walked = next(islice(_running_tails(n), min(r, n - 1 - r), None))
-    return walked if r > n - 1 - r else (1 << n) - walked
+    steps = min(r, n - 1 - r)
+    walked = next(islice(_running_tails(n), steps, None))
+    return walked if steps == r else (1 << n) - walked
 
 
 @dataclass(frozen=True)
@@ -69,60 +73,33 @@ class ExactRatio:
         return self.numerator % self.denominator == 0
 
 
-@dataclass(frozen=True)
-class ConnectivityBound:
-    """`Contractible` (full simplex, r >= n) or `LowerBound(c)`: the complex
-    is guaranteed c-connected.  c = -1 means nonempty."""
-
-    connectivity: int | None = None
-
-    @classmethod
-    def contractible(cls) -> "ConnectivityBound":
-        return cls(None)
-
-    @classmethod
-    def lower_bound(cls, c: int) -> "ConnectivityBound":
-        if c < -1:
-            raise ValueError("connectivity lower bound must be >= -1")
-        return cls(c)
-
-    @property
-    def is_contractible(self) -> bool:
-        return self.connectivity is None
-
-    def __repr__(self):
-        if self.is_contractible:
-            return "Contractible"
-        return f"LowerBound({self.connectivity})"
-
-
 def alpha(n: int, r: int) -> ExactRatio:
     """The exact ratio 2^(n-1) / tail_degree(n, r), stored unreduced.
 
     Raises DegenerateScale when r >= n: the denominator would be zero
     (the complement graph is all isolated vertices)."""
-    _validate_pair(n, r)
+    validate_pair(n, r)
     if r >= n:
         raise DegenerateScale(f"alpha({n}, {r}) undefined: requires r <= n - 1")
     return ExactRatio(1 << (n - 1), tail_degree(n, r))
 
 
-def connectivity_lower_bound(n: int, r: int) -> ConnectivityBound:
-    """Guaranteed connectivity of VR(Q_n; r).
+def connectivity_lower_bound(n: int, r: int) -> int | None:
+    """The guaranteed connectivity c of VR(Q_n; r), or None: contractible.
 
     For r >= n every pair of vertices is within distance r, the complex is
-    the full simplex on 2^n vertices, and we report Contractible.  Otherwise
-    k is the largest integer strictly below alpha(n, r) and the complex is
-    (k-1)-connected."""
-    _validate_pair(n, r)
+    the full simplex on 2^n vertices, and the answer is None.  Otherwise k
+    is the largest integer strictly below alpha(n, r) and the complex is
+    (k-1)-connected: c = k - 1 >= -1, and c = -1 says only that it is
+    nonempty."""
+    validate_pair(n, r)
     if r >= n:
-        return ConnectivityBound.contractible()
+        return None
     a = alpha(n, r)
-    c = _rounded_connectivity(a.numerator, a.denominator)
-    return ConnectivityBound.lower_bound(c)
+    return rounded_connectivity(a.numerator, a.denominator)
 
 
-def _rounded_connectivity(half_order: int, tail: int) -> int:
+def rounded_connectivity(half_order: int, tail: int) -> int:
     """c = ceil(alpha) - 2 for alpha = half_order / tail = 2^(n-1) / tail_degree.
 
     Meshulam (Domination numbers and homology, JCTA 2003): the independence
@@ -153,7 +130,7 @@ PUBLISHED_ROWS = (
 def reference_table() -> list[tuple[int, int, int, int]]:
     """(n, r, c, printed) for the eight published example rows: c is the
     recomputed bound, printed the published value; they agree when equal."""
-    return [(n, r, connectivity_lower_bound(n, r).connectivity, printed)
+    return [(n, r, connectivity_lower_bound(n, r), printed)
             for n, r, printed in PUBLISHED_ROWS]
 
 
@@ -168,13 +145,13 @@ def published_value(n: int, r: int) -> int | None:
 def _grid(n_lo: int, n_max: int, r_max: int | None = None):
     """Yield (n, r, c) for n_lo <= n <= n_max and 0 <= r <= min(r_max, n - 1),
     ascending in n, then in r; c is the bound of connectivity_lower_bound,
-    from one running tail per n."""
+    from one running tail per n, walked no further than r_max."""
     for n in range(n_lo, n_max + 1):
         top = n - 1 if r_max is None else min(r_max, n - 1)
         half_order = 1 << (n - 1)
-        tails = list(_running_tails(n))  # tails[n - 1 - r] is the tail at r
-        for r in range(top + 1):
-            yield n, r, _rounded_connectivity(half_order, tails[n - 1 - r])
+        # range first: zip stops before drawing a tail past top
+        for r, tail in zip(range(top + 1), _running_tails(n)):
+            yield n, r, rounded_connectivity(half_order, tail)
 
 
 def grid_table(n_max: int, r_max: int | None = None) -> list[tuple[int, int, int]]:
@@ -207,12 +184,3 @@ def consistency_check_2r(n_max: int) -> list[tuple[int, int, int]]:
         raise ValueError("n_max must be >= 2")
     return [(n, r, c) for n, r, c in _grid(3, n_max)
             if 1 <= r <= n - 2 and c > (1 << r) - 2]
-
-
-def _validate_pair(n, r):
-    if not isinstance(n, int) or not isinstance(r, int):
-        raise ValueError("n and r must be integers")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")

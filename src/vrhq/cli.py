@@ -146,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bound(args):
+    hypercube.validate_pair(args.n, args.r)
     if args.r >= args.n:
-        # validates the pair; at r >= n the bound is Contractible
-        bounds.connectivity_lower_bound(args.n, args.r)
+        # the full simplex on 2^n vertices: no bound to round
         return {"n": args.n, "r": args.r, "contractible": True, "alpha": None,
                 "k": None, "connectivity": None, "paper_discrepancy": None}
     # one tail sum: the bound is rounded from alpha, not recomputed
     a = bounds.alpha(args.n, args.r)
-    c = bounds._rounded_connectivity(a.numerator, a.denominator)
+    c = bounds.rounded_connectivity(a.numerator, a.denominator)
     printed = bounds.published_value(args.n, args.r)
     discrepancy = None
     if printed is not None and printed != c:

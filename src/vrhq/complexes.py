@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
                      TooLarge)
 from .hypercube import (MATERIALIZE_CEILING, Graph, build_hamming_graph,
-                        hamming_distance)
+                        hamming_distance, validate_pair)
 
 DEFAULT_MAX_SIMPLICES = 10 ** 8
 
@@ -149,13 +149,16 @@ def cross_polytope_witness_check(n: int, r: int, vertices) -> WitnessReport:
     at distance <= r.  The total-domination bit is computed separately by
     scanning all of Q_n against the distance predicate; the report never
     assumes the pattern implies domination.  That scan costs 2^n * |S|, so n
-    above the materialization ceiling raises DimensionTooLarge up front.
+    above the materialization ceiling raises DimensionTooLarge up front,
+    once the list has passed the duplicate and parity checks and (n, r) the
+    `validate_pair` rule.
     """
     verts = list(vertices)
     if len(set(verts)) != len(verts):
         raise DuplicateVertex("witness vertices must be distinct")
     if len(verts) % 2:
         raise OddCount("witness needs an even number of vertices")
+    validate_pair(n, r)
     if n > MATERIALIZE_CEILING:
         raise DimensionTooLarge(
             f"n = {n} exceeds the ceiling {MATERIALIZE_CEILING} for the "

@@ -22,6 +22,15 @@ from .errors import DimensionTooLarge, InconsistentHeader, ParseError
 MATERIALIZE_CEILING = 24
 
 
+def validate_pair(n, r) -> None:
+    """Reject a pair unless n is an integer >= 1 and r an integer >= 0: the
+    one rule for every (n, r) a command or function takes."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(r, int) or r < 0:
+        raise ValueError(f"r must be an integer >= 0, got {r!r}")
+
+
 def hamming_distance(a: int, b: int) -> int:
     """Number of coordinates at which the binary strings a and b differ."""
     if a < 0 or b < 0:
@@ -131,10 +140,7 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
     bit positions permuted by j -> j XOR v, built from a lower row by one
     half-space swap (`_translated`) instead of a popcount per pair.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("r must be a non-negative integer")
+    validate_pair(n, r)
     if n > MATERIALIZE_CEILING:
         raise DimensionTooLarge(
             f"n = {n} exceeds the materialization ceiling {MATERIALIZE_CEILING}; "

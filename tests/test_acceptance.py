@@ -172,7 +172,7 @@ def test_criterion_08_connectivity_consistency():
         checked = []
         for n in range(1, 5):
             for r in range(0, n):
-                c = bounds.connectivity_lower_bound(n, r).connectivity
+                c = bounds.connectivity_lower_bound(n, r)
                 if c < 0:
                     continue
                 k = cx.vietoris_rips(n, r, c + 1)

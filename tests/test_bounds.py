@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,10 @@ def comb_rows():
 
 
 def ratio_steps(n):
-    """The binomials the running tail adds in turn: C(n, n), C(n, n - 1),
-    ..., C(n, 1), read back as differences of consecutive tails."""
+    """C(n, 0), C(n, 1), ..., C(n, n), read back from the running tails as
+    tail(r - 1) - tail(r) = C(n, r), with tail(-1) = 2^n and tail(n) = 0."""
     tails = list(bounds._running_tails(n))
-    return [b - a for a, b in zip([0] + tails, tails)]
+    return [a - b for a, b in zip([1 << n] + tails, tails + [0])]
 
 
 class TestBinomial:
@@ -30,11 +31,11 @@ class TestBinomial:
     triangle of tests.oracles."""
 
     def test_examples(self):
-        assert ratio_steps(7)[6] == 7  # C(7, 1)
-        assert ratio_steps(8)[1] == 8  # C(8, 7)
+        assert ratio_steps(7)[1] == 7  # C(7, 1)
+        assert ratio_steps(8)[7] == 8  # C(8, 7)
         # frozen from the Pascal-triangle oracle
         assert pascal_binomial(20, 17) == 1140
-        assert ratio_steps(20)[3] == 1140  # C(20, 17)
+        assert ratio_steps(20)[17] == 1140  # C(20, 17)
 
     def test_out_of_range_is_zero(self, monkeypatch):
         # one tail per r in 0..n-1; r >= n is the empty sum, never walked
@@ -53,13 +54,14 @@ class TestBinomial:
 
     def test_matches_pascal_oracle(self):
         for n in range(1, 26):
-            assert ratio_steps(n) == [pascal_binomial(n, i) for i in range(n, 0, -1)]
+            assert ratio_steps(n) == [pascal_binomial(n, i) for i in range(n + 1)]
 
     def test_large_is_exact(self, comb_rows):
         for n, row in comb_rows.items():
-            assert ratio_steps(n) == row[:0:-1]
+            assert ratio_steps(n) == row
         assert ratio_steps(1024)[512] % 2 == 0  # C(1024, 512)
-        assert list(bounds._running_tails(1024))[-1] == (1 << 1024) - 1
+        tails = list(bounds._running_tails(1024))
+        assert (tails[0], tails[-1]) == ((1 << 1024) - 1, 1)
 
 
 class TestTailDegree:
@@ -131,32 +133,32 @@ class TestExactRatio:
 
 class TestConnectivityBound:
     def test_published_examples(self):
-        assert bounds.connectivity_lower_bound(7, 5).connectivity == 6
-        assert bounds.connectivity_lower_bound(8, 6).connectivity == 13
+        assert bounds.connectivity_lower_bound(7, 5) == 6
+        assert bounds.connectivity_lower_bound(8, 6) == 13
 
     def test_small_cases(self):
-        assert bounds.connectivity_lower_bound(2, 1).connectivity == 0
+        assert bounds.connectivity_lower_bound(2, 1) == 0
         for n in range(2, 11):
-            assert bounds.connectivity_lower_bound(n, 0).connectivity == -1
+            assert bounds.connectivity_lower_bound(n, 0) == -1
 
     def test_contractible_iff_r_ge_n(self):
-        assert bounds.connectivity_lower_bound(3, 3).is_contractible
-        assert bounds.connectivity_lower_bound(3, 7).is_contractible
-        assert not bounds.connectivity_lower_bound(3, 2).is_contractible
+        assert bounds.connectivity_lower_bound(3, 3) is None
+        assert bounds.connectivity_lower_bound(3, 7) is None
+        assert bounds.connectivity_lower_bound(3, 2) is not None
 
     def test_flagged_row(self):
         # exact arithmetic: floor(2^19 / 21) - 1
         assert (1 << 19) // 21 == 24966
-        assert bounds.connectivity_lower_bound(20, 18).connectivity == 24965
+        assert bounds.connectivity_lower_bound(20, 18) == 24965
 
     def test_closed_form_at_r_equals_n_minus_1(self):
         for n in range(1, 61):
-            c = bounds.connectivity_lower_bound(n, n - 1).connectivity
+            c = bounds.connectivity_lower_bound(n, n - 1)
             assert c == (1 << (n - 1)) - 2
 
     def test_monotone_in_r(self):
         for n in range(1, 33):
-            values = [bounds.connectivity_lower_bound(n, r).connectivity
+            values = [bounds.connectivity_lower_bound(n, r)
                       for r in range(0, n)]
             assert values == sorted(values)
 
@@ -164,7 +166,7 @@ class TestConnectivityBound:
     @given(st.integers(min_value=1, max_value=200), st.data())
     def test_k_is_largest_integer_below_alpha(self, n, data):
         r = data.draw(st.integers(min_value=0, max_value=n - 1))
-        c = bounds.connectivity_lower_bound(n, r).connectivity
+        c = bounds.connectivity_lower_bound(n, r)
         k = c + 1
         a = bounds.alpha(n, r)
         # strict inequality k < alpha <= k + 1, by cross-multiplication
@@ -174,30 +176,19 @@ class TestConnectivityBound:
     def test_matches_fraction_oracle(self):
         for n in range(1, 26):
             for r in range(0, n + 2):
-                got = bounds.connectivity_lower_bound(n, r)
-                want = bound_oracle(n, r)
-                if want is None:
-                    assert got.is_contractible
-                else:
-                    assert got.connectivity == want
+                assert bounds.connectivity_lower_bound(n, r) == bound_oracle(n, r)
 
     def test_exact_at_n_1024(self):
         a = bounds.alpha(1024, 512)
         assert a.numerator == 1 << 1023
         assert a.denominator == bounds.tail_degree(1024, 512)
-        assert bounds.connectivity_lower_bound(1024, 1023).connectivity == (1 << 1023) - 2
+        assert bounds.connectivity_lower_bound(1024, 1023) == (1 << 1023) - 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
             bounds.connectivity_lower_bound(0, 0)
         with pytest.raises(ValueError):
             bounds.connectivity_lower_bound(3, -1)
-
-    def test_bound_repr_and_constructors(self):
-        assert repr(bounds.ConnectivityBound.contractible()) == "Contractible"
-        assert repr(bounds.ConnectivityBound.lower_bound(-1)) == "LowerBound(-1)"
-        with pytest.raises(ValueError):
-            bounds.ConnectivityBound.lower_bound(-2)
 
 
 class TestReferenceTable:
@@ -252,7 +243,7 @@ class TestConsistencyCheck:
         assert bounds.consistency_check_2r(200) == []
 
     def test_single_pair(self):
-        c = bounds.connectivity_lower_bound(7, 5).connectivity
+        c = bounds.connectivity_lower_bound(7, 5)
         assert c == 6 <= (1 << 5) - 2
 
     def test_validation(self):
@@ -266,7 +257,7 @@ GRID_N = 120
 @pytest.fixture(scope="module")
 def per_pair():
     """connectivity_lower_bound on every pair n <= GRID_N, r <= n - 1."""
-    return {(n, r): bounds.connectivity_lower_bound(n, r).connectivity
+    return {(n, r): bounds.connectivity_lower_bound(n, r)
             for n in range(1, GRID_N + 1) for r in range(n)}
 
 
@@ -307,6 +298,22 @@ class TestGrid:
                 if per_pair[n, r] > (1 << r) - 2:
                     want.append((n, r, per_pair[n, r]))
         assert bounds.consistency_check_2r(GRID_N) == want
+
+    def test_grid_walks_only_as_far_as_asked(self, monkeypatch):
+        drawn = Counter()
+        original = bounds._running_tails
+
+        def spy(n):
+            for tail in original(n):
+                drawn[n] += 1
+                yield tail
+
+        monkeypatch.setattr(bounds, "_running_tails", spy)
+        bounds.grid_table(300, 2)
+        assert drawn == {n: min(n, 3) for n in range(1, 301)}
+        drawn.clear()
+        bounds.grid_table(300)
+        assert drawn == {n: n for n in range(1, 301)}
 
     def test_scans_make_no_per_pair_calls(self, monkeypatch):
         calls = []

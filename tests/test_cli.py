@@ -117,7 +117,7 @@ class TestTable:
 
     @staticmethod
     def per_pair(n_max):
-        return [(n, r, bounds.connectivity_lower_bound(n, r).connectivity)
+        return [(n, r, bounds.connectivity_lower_bound(n, r))
                 for n in range(1, n_max + 1) for r in range(n)]
 
     def test_grid_csv_bytes_match_per_pair_bounds(self, capsys):
@@ -426,6 +426,9 @@ class TestFlagErrors:
     @pytest.mark.parametrize("argv", [
         ["table", "--paper", "--n-max", "3"],
         ["homology", "--n", "3", "--r", "1", "--up-to", "1", "--snf-cap", "0"],
+        ["witness", "--n", "3", "--r", "-1", "--vertices", "0,7"],
+        ["witness", "--n", "0", "--r", "0", "--vertices", ","],
+        ["witness", "--n", "-2", "--r", "1", "--vertices", ","],
     ])
     def test_errors_after_parsing_print_one_envelope(self, capsys, argv):
         code, env = run_json(capsys, *argv)
@@ -469,6 +472,18 @@ class TestFlagErrors:
         assert env["result"] is None
         assert env["status"]["code"] == "value_error"
         validate_envelope(env)
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "3"],
+        ["gamma-t", "--n", "3"],
+        ["homology", "--n", "3", "--up-to", "1"],
+        ["witness", "--n", "3", "--vertices", "0,7"],
+    ])
+    def test_one_message_for_a_bad_pair(self, capsys, argv):
+        code, env = run_json(capsys, *argv, "--r", "-1")
+        assert code == 2
+        assert env["status"] == {"code": "value_error",
+                                 "message": "r must be an integer >= 0, got -1"}
 
     def test_duration_units(self, capsys):
         assert cli._parse_duration("600s") == 600.0
