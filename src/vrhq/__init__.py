@@ -23,7 +23,8 @@ from .homology import (BettiProfile, BoundaryMatrix, betti_gf2,
                        boundary_matrix, cycle_is_gf2_boundary,
                        reduced_homology, smith_normal_form)
 from .hypercube import (Graph, antipode, build_hamming_graph, cube_dimension,
-                        hamming_distance, read_dimacs, write_dimacs)
+                        hamming_distance, read_dimacs, vertex_transitive,
+                        write_dimacs)
 
 __all__ = [
     "ExactRatio", "alpha", "connectivity_lower_bound",
@@ -37,5 +38,5 @@ __all__ = [
     "BettiProfile", "BoundaryMatrix", "betti_gf2", "boundary_matrix",
     "cycle_is_gf2_boundary", "reduced_homology", "smith_normal_form",
     "Graph", "antipode", "build_hamming_graph", "cube_dimension",
-    "hamming_distance", "read_dimacs", "write_dimacs",
+    "hamming_distance", "read_dimacs", "vertex_transitive", "write_dimacs",
 ]

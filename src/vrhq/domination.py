@@ -16,25 +16,37 @@ from dataclasses import dataclass
 
 from .bitops import dense_bits, iter_bits, mask_of
 from .errors import IsolatedVertex, TooLarge
-from .hypercube import Graph, cube_dimension
+from .hypercube import Graph, cube_dimension, vertex_transitive
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 # Set-up phases check a deadline once per this many bits of bitset work:
-# each step reads one m-bit row, so a check every CHECK_BITS // m steps.
-# Small graphs finish these phases at any time limit, and on large ones the
-# clock is read well under a millisecond apart.
+# most steps read one m-bit row, so a check every CHECK_BITS // m steps; a
+# step of the transitivity check reads up to m rows, so every
+# CHECK_BITS // m^2.  Small graphs finish these phases at any time limit,
+# and on large ones the clock is read well under a millisecond apart.
 CHECK_BITS = 1 << 20
 
 
-def _expiry(deadline, m):
-    """The clock of a set-up phase that reads m-bit rows: a function to call
-    once per step, true once `deadline` has passed.  It reads the clock only
-    every CHECK_BITS // m calls, and never without a deadline."""
-    if deadline is None:
-        return lambda: False
-    stride = max(1, CHECK_BITS // m)
-    steps = itertools.count(1)
-    return lambda: not next(steps) % stride and time.monotonic() > deadline
+class _Expiry:
+    """The clock of a set-up phase whose steps each read up to `bits` bits:
+    call it once per step; true once `deadline` has passed.  It reads the
+    clock only every CHECK_BITS // bits calls, and never without a deadline.
+    Once true it stays true without another reading, and `late` records it,
+    so a later phase can tell that this one was cut short."""
+
+    __slots__ = ("deadline", "stride", "steps", "late")
+
+    def __init__(self, deadline, bits):
+        self.deadline = deadline
+        self.stride = max(1, CHECK_BITS // bits)
+        self.steps = 0
+        self.late = False
+
+    def __call__(self):
+        if self.deadline is not None and not self.late:
+            self.steps += 1
+            self.late = not self.steps % self.stride and time.monotonic() > self.deadline
+        return self.late
 
 
 def _require_no_isolated(g: Graph):
@@ -85,7 +97,7 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
     # one int per vertex rather than a tuple keeps the heap small
     heap = [(m - row.bit_count()) * m + v for v, row in enumerate(rows)]
     heapq.heapify(heap)
-    expired = _expiry(deadline, m)
+    expired = _Expiry(deadline, m)
     while dominated != full:
         if expired():
             return frozenset(dense_bits(chosen)).union(
@@ -135,7 +147,7 @@ def _components(rows, deadline=None) -> list[int]:
     form one last part, which need not be connected."""
     unseen = (1 << len(rows)) - 1
     comps = []
-    expired = _expiry(deadline, len(rows))
+    expired = _Expiry(deadline, len(rows))
     while unseen:
         comp = unseen & -unseen
         frontier = comp
@@ -294,6 +306,14 @@ def _search(g: Graph, deadline):
     solution of the same size that holds c_i and misses O_1..O_{i-1}: it
     lies in child i's subtree.  Once every cell is a single coordinate, or
     with no symmetry, the orbits are single vertices.
+
+    When `cube_dimension` returns 0 without being cut short, one more
+    set-up phase under the deadline asks `vertex_transitive(rows)`, which
+    is true only once automorphisms it has checked put every vertex in
+    vertex 0's orbit (cut short, it claims nothing).  Then the root fixes
+    vertex 0 as on Q_n, with no cells below it: a minimum set S is not
+    empty, and some automorphism maps a member of S to 0, so the image of
+    S is a minimum set that holds 0.
     """
     rows = g.rows()
     m = g.m
@@ -341,9 +361,12 @@ def _search(g: Graph, deadline):
                 selectable &= ~(1 << v)
 
     if best_size > lower:
-        n = cube_dimension(rows, _expiry(deadline, m))
+        expired = _Expiry(deadline, m)
+        n = cube_dimension(rows, expired)
         if n:
             dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1])
+        elif not expired.late and vertex_transitive(rows, _Expiry(deadline, m * m)):
+            dfs(1, 1, rows[0], full ^ 1, None)
         else:
             dfs(0, 0, 0, full, None)
     if not timed_out:
@@ -366,10 +389,13 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     or the witness.  When the rows show the symmetry of
     Q_n (`cube_dimension`: G_{n,r} or its complement in its natural
     labelling), the root fixes vertex 0 and the search branches on orbits
-    of the coordinate permutations (see `_search`).  That skips subtrees
-    that hold only images of sets found elsewhere, so it cuts `nodes` and
-    keeps the value; the witness is a minimum set either way, though not
-    always the one the search without symmetry would return.
+    of the coordinate permutations (see `_search`).  Any other graph that
+    `vertex_transitive` proves vertex-transitive, such as a relabelled
+    G_{n,r}, gets the root fixed at vertex 0 and no orbital branching.
+    Both skip subtrees that hold only images of sets found elsewhere, so
+    they cut `nodes` and keep the value; the witness is a minimum set
+    either way, though not always the one the search without symmetry
+    would return.
 
     gamma_t is additive over connected components, so a disconnected graph
     is solved one component at a time under the shared deadline, and the
@@ -378,7 +404,7 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
 
     With no time limit the result is exact.  The deadline covers everything
     after the graph is built: the component split, the greedy incumbent and
-    the symmetry check read the clock once per CHECK_BITS bits of bitset
+    the symmetry checks read the clock once per CHECK_BITS bits of bitset
     work, and the search at every node.  On expiry the result has status
     "bounds_only", with the incumbent (completed cheaply if the greedy was
     cut short) as `upper` and, per component, the trivial bound

@@ -10,9 +10,9 @@ representation.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
-from .bitops import iter_bits
+from .bitops import dense_bits, iter_bits
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 # Bounds n only, not memory: an explicit graph on Q_n holds 2^n adjacency
@@ -177,6 +177,197 @@ def cube_dimension(rows, expired=None) -> int:
         if expired is not None and expired() or rows[v] != _translated(rows, v, patterns):
             return 0
     return n
+
+
+# Work cap of `vertex_transitive`, in refinement steps (`_split` calls).
+# Proving a 512-cycle or a relabelled Gc(9,6) transitive takes a small
+# fraction of it; a graph that needs more gets no symmetry.
+TRANSITIVITY_STEPS = 1 << 14
+
+
+class _GiveUp(Exception):
+    """`vertex_transitive` ran out of steps or time."""
+
+
+def _split(rows, cells, s, queue):
+    """One refinement step: split every cell of `cells` (vertex bitsets, an
+    ordered partition) by the number of neighbours its vertices have in the
+    splitter cells[s].
+
+    The counts are bit-sliced sums of the splitter's rows, so a cell splits
+    by ANDs with their bit planes.  A split cell keeps its index for its
+    largest part, the first in count order on ties, and its other parts go
+    on the end of `cells` and of `queue` in count order.  The kept part
+    needs no turn of its own (Hopcroft's rule): if the cell was queued, it
+    keeps the cell's turn; if not, the partition is already equitable with
+    respect to the whole cell, and counts in the kept part are counts in
+    the cell less counts in the queued parts.  Returns the trace entry of
+    the step: the index of each cell with a neighbour in the splitter, with
+    the count and size of each of its parts."""
+    planes = []
+    for row in dense_bits(cells[s], rows):
+        for j, plane in enumerate(planes):
+            if not row:
+                break
+            planes[j], row = plane ^ row, plane & row
+        if row:
+            planes.append(row)
+    hit = 0
+    for plane in planes:
+        hit |= plane
+    entry = []
+    for i in range(len(cells)):
+        cell = cells[i]
+        if not cell & hit:
+            continue
+        parts = [(0, cell)]
+        for j, plane in enumerate(planes):
+            sliced = []
+            for count, part in parts:
+                inside = part & plane
+                if inside != part:
+                    sliced.append((count, part ^ inside))
+                if inside:
+                    sliced.append((count | 1 << j, inside))
+            parts = sliced
+        parts.sort()
+        sizes = [part.bit_count() for _, part in parts]
+        entry.append((i, tuple(zip([count for count, _ in parts], sizes))))
+        if len(parts) > 1:
+            keep = sizes.index(max(sizes))
+            cells[i] = parts[keep][1]
+            for k, (_, part) in enumerate(parts):
+                if k != keep:
+                    queue.append(len(cells))
+                    cells.append(part)
+    return tuple(entry)
+
+
+def _individualised(cells, i, v):
+    """A copy of `cells` with vertex v, a member of cells[i], moved to a new
+    last cell of its own, and the splitter queue that holds only that cell."""
+    cells = cells.copy()
+    cells[i] ^= 1 << v
+    cells.append(1 << v)
+    return cells, deque([len(cells) - 1])
+
+
+def _is_automorphism(rows, perm) -> bool:
+    """perm (perm[v] the image of v) maps every row onto the row of its
+    image."""
+    images = [1 << p for p in perm]
+    return all(sum(dense_bits(row, images)) == rows[p] for row, p in zip(rows, perm))
+
+
+def vertex_transitive(rows, expired=None) -> bool:
+    """True once automorphisms found and checked here put every vertex in
+    the orbit of vertex 0, so that the graph with these rows is
+    vertex-transitive; False claims nothing.
+
+    Individualisation-refinement (McKay and Piperno, *J. Symb. Comput.*
+    2014) on two sides.  The first side individualises vertex 0, then
+    level by level the lowest vertex of the smallest non-singleton cell
+    (the first on ties), and refines after each to an equitable partition
+    (`_split`, with a queue of splitter cells) until the partition is
+    discrete; it keeps each level's trace.  For each vertex w not yet in
+    0's orbit, the other side individualises w and backtracks over the
+    vertices of the same cells, refining in lockstep: a step whose trace
+    entry differs from the first side's ends its branch.  A discrete leaf
+    maps each cell of the first side onto its partner; the map counts only
+    once it has been checked on every row, and its cycles are merged into
+    the orbits by union-find.
+
+    Returns False at once on an irregular graph.  It also returns False
+    when w's trace differs from 0's at the root or no branch yields an
+    automorphism (then no automorphism maps 0 to w), after
+    TRANSITIVITY_STEPS refinement steps, or once `expired`, if given, is
+    true.  `expired` is called once per refinement step and once per map
+    checked, and each of these reads or scans at most O(m) rows and
+    cells."""
+    m = len(rows)
+    if m < 2:
+        return m == 1
+    if len({row.bit_count() for row in rows}) > 1:
+        return False
+    if expired is None:
+        expired = lambda: False
+    steps = 0
+
+    def refine(cells, queue, expect):
+        """Refine `cells` in place until `queue` is empty; the trace, or
+        None at the first step that differs from `expect`."""
+        nonlocal steps
+        trace = []
+        while queue:
+            steps += 1
+            if steps > TRANSITIVITY_STEPS or expired():
+                raise _GiveUp
+            entry = _split(rows, cells, queue.popleft(), queue)
+            if expect is not None and entry != expect[len(trace)]:
+                return None
+            trace.append(entry)
+        return trace
+
+    def automorphism(w):
+        """An automorphism that maps 0 to w, or None.  Candidates outside
+        the orbit of the first side's vertex come first, so that the map
+        found tends to join orbits rather than permute within them."""
+        stack, above = [iter((w,))], [[(1 << m) - 1]]
+        while stack:
+            k = len(stack) - 1
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                above.pop()
+                continue
+            cells, queue = _individualised(above[k], targets[k], v)
+            if refine(cells, queue, traces[k]) is None:
+                continue
+            if len(cells) == m:
+                if expired():
+                    raise _GiveUp
+                perm = [0] * m
+                for a, b in zip(leaf, cells):
+                    perm[a.bit_length() - 1] = b.bit_length() - 1
+                if _is_automorphism(rows, perm):
+                    return perm
+                continue
+            above.append(cells)
+            orbit = root(picks[k + 1])
+            stack.append(iter(sorted(iter_bits(cells[targets[k + 1]]),
+                                     key=lambda b: root(b) == orbit)))
+        return None
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    parent = list(range(m))
+    try:
+        leaf, targets, picks, traces = [(1 << m) - 1], [], [], []
+        t = v = 0
+        while True:
+            leaf, queue = _individualised(leaf, t, v)
+            targets.append(t)
+            picks.append(v)
+            traces.append(refine(leaf, queue, None))
+            if len(leaf) == m:
+                break
+            t = min((i for i, cell in enumerate(leaf) if cell & (cell - 1)),
+                    key=lambda i: leaf[i].bit_count())
+            v = (leaf[t] & -leaf[t]).bit_length() - 1
+        for w in range(1, m):
+            if root(w) == root(0):
+                continue
+            perm = automorphism(w)
+            if perm is None:
+                return False
+            for v, image in enumerate(perm):
+                parent[root(v)] = root(image)
+    except _GiveUp:
+        return False
+    return True
 
 
 def read_dimacs(text: str) -> Graph:

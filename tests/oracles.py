@@ -8,6 +8,7 @@ stay around so the freezing can be audited and re-run.  The domination
 references are frozen copies of the solver's earlier, simpler form, kept so
 that faster rewrites can be required to return the same answer in no more
 nodes; gamma_t is also solved as an integer program by scipy's HiGHS.
+Vertex-transitivity is decided by networkx's VF2++ isomorphism test.
 `tight_example_graph` is a fixture: a gadget family on which the trivial
 bound ceil(m / max_degree) is exact.
 """
@@ -325,3 +326,40 @@ def milp_gamma_t(rows) -> int:
     if not res.success:
         raise AssertionError(f"MILP failed: {res.message}")
     return round(res.fun)
+
+
+def is_vertex_transitive(rows) -> bool:
+    """Whether some automorphism maps vertex 0 onto each vertex w, decided
+    by networkx's VF2++ matcher between two copies of the graph: the first
+    with vertex 0 labelled apart, the second with w.  Each map found puts
+    its cycles in 0's orbit, and a w already there needs no match of its
+    own.  A graph and its complement have the same automorphisms; the
+    sparser of the two is matched, since VF2++ stalls on dense graphs."""
+    import networkx as nx
+
+    m = len(rows)
+    g = nx.Graph()
+    g.add_nodes_from(range(m))
+    g.add_edges_from((u, v) for u in range(m) for v in _bits(rows[u]) if u < v)
+    if 2 * g.number_of_edges() > m * (m - 1) // 2:
+        g = nx.complement(g)
+    h = g.copy()
+    nx.set_node_attributes(g, {v: v == 0 for v in range(m)}, "root")
+    orbit, perms = {0}, []
+    for w in range(1, m):
+        if w in orbit:
+            continue
+        nx.set_node_attributes(h, {v: v == w for v in range(m)}, "root")
+        perm = nx.vf2pp_isomorphism(g, h, node_label="root")
+        if perm is None:
+            return False
+        perms.append(perm)
+        frontier = [0]
+        orbit = {0}
+        while frontier:  # 0's orbit under the maps found so far
+            v = frontier.pop()
+            for p in perms:
+                if p[v] not in orbit:
+                    orbit.add(p[v])
+                    frontier.append(p[v])
+    return m > 0

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from vrhq import bounds, domination as dom, hypercube as hc
 from vrhq.errors import IsolatedVertex, TooLarge
 
-from tests.oracles import (eager_greedy, milp_gamma_t, random_isolated_free_graphs,
-                          reference_gamma_t, tight_example_graph)
+from tests.oracles import (eager_greedy, is_vertex_transitive, milp_gamma_t,
+                          random_isolated_free_graphs, reference_gamma_t,
+                          tight_example_graph)
 
 
 def figure_graph():
@@ -189,7 +190,7 @@ class TestExactGammaT:
 
     def test_symmetry_fixing_does_not_change_the_value(self):
         gc42 = hc.build_hamming_graph(4, 2, complemented=True)
-        plain = relabelled(gc42, 0)  # same graph, labels that show no symmetry
+        plain = relabelled(gc42, 0)  # same graph, labels that hide Q_4's symmetry
         assert hc.cube_dimension(gc42.rows()) == 4 and hc.cube_dimension(plain.rows()) == 0
         assert dom.exact_gamma_t(gc42).exact == dom.exact_gamma_t(plain).exact == \
             dom.gamma_t_exhaustive(gc42)
@@ -212,32 +213,49 @@ class TestExactGammaT:
         # an expired deadline stops the search at its first node
         assert res.nodes <= 1
 
-    def test_same_answer_as_frozen_reference(self, gc64, gc64_exact):
+    def test_same_answer_as_frozen_reference(self, gc64, gc64_exact, relabelled_gc64,
+                                            relabelled_gc64_exact):
         # the open-packing prune cuts subtrees that hold no set smaller than
         # the incumbent, so the incumbent changes at the same leaves: same
-        # value and witness as the frozen reference, in no more nodes
-        # K2 and K4 are G(1,1) and G(2,2) in any labelling
-        cases = [(g, g.m in (2, 4) and g.edge_count() == g.m * (g.m - 1) // 2)
-                 for g in small_corpus() if is_connected(g)]
-        cases += [(hc.build_hamming_graph(n, r, complemented=True), True)
+        # value and witness as the frozen reference, in no more nodes; the
+        # reference fixes vertex 0 wherever the VF2++ oracle finds the graph
+        # vertex-transitive, and so must the solver, whatever the labelling
+        cases = [g for g in small_corpus() if is_connected(g)]
+        cases += [hc.build_hamming_graph(n, r, complemented=True)
                   for n in range(1, 6) for r in range(n - 1)]
-        cases += [(hc.build_hamming_graph(6, r, complemented=True), True) for r in range(4)]
-        cases.append((relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3), False))
-        cases.append((gc64, True))
-        for g, transitive in cases:
-            assert (hc.cube_dimension(g.rows()) > 0) == transitive
-            res = gc64_exact if g is gc64 else dom.exact_gamma_t(g)
+        cases += [hc.build_hamming_graph(6, r, complemented=True) for r in range(4)]
+        cases.append(relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3))
+        solved = {id(gc64): gc64_exact, id(relabelled_gc64): relabelled_gc64_exact}
+        cases += [gc64, relabelled_gc64]
+        hidden = 0  # vertex-transitive, but not in Q_n's natural labelling
+        for g in cases:
+            transitive = is_vertex_transitive(g.rows())
+            if transitive and not hc.cube_dimension(g.rows()):
+                hidden += 1
+            res = solved.get(id(g)) or dom.exact_gamma_t(g)
             value, witness, nodes = reference_gamma_t(g.rows(), transitive)
             assert (res.exact, res.witness) == (value, witness)
             assert res.nodes <= nodes
+        # ten small graphs, the relabelled Gc(5,3) and the relabelled Gc(6,4)
+        # (9,103 nodes against the reference's 22,592)
+        assert hidden == 12
 
-    def test_node_counts_are_pinned(self, gc64_exact, relabelled_gc64_exact):
+    def test_node_counts_are_pinned(self, gc64, gc64_exact, relabelled_gc64_exact):
         # deterministic counts, no timing: a weaker prune fails here first
-        # (the solver without the packing prune took 29,289 and 209,721
-        # nodes, and without orbital branching Gc(6,4) took 10,094)
+        # (the solver without the packing prune took 29,289 nodes on
+        # Gc(6,4), and without orbital branching 10,094; the frozen
+        # reference takes 22,592 on the relabelled copy with vertex 0 fixed)
         assert gc64_exact.nodes == 2782
         assert relabelled_gc64_exact.exact == 12
-        assert relabelled_gc64_exact.nodes == 67466
+        assert relabelled_gc64_exact.nodes == 9103
+        # one antipodal edge less leaves a connected, irregular graph that
+        # gets the search without symmetry (the reference takes 191,428)
+        rows = gc64.rows()
+        rows[0] ^= 1 << 63
+        rows[63] ^= 1
+        assert not hc.vertex_transitive(rows)
+        res = dom.exact_gamma_t(hc.Graph(rows))
+        assert res.exact == 12 and res.nodes == 48540
 
     def test_matches_milp_oracle(self, relabelled_gc64, relabelled_gc64_exact):
         pytest.importorskip("scipy.optimize")
@@ -293,12 +311,13 @@ class TestExactGammaT:
     def test_components_get_the_symmetry_they_have(self):
         # the union of two copies of Gc(5,3) shows no symmetry of Q_6, but
         # each component, relabelled to 0..31, shows Q_5's; a relabelled
-        # copy shows none and takes the generic search inside the same union
+        # copy hides Q_5's labelling, is found vertex-transitive and gets
+        # vertex 0 fixed without orbital branching, inside the same union too
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
         shuffled = relabelled(gc53, 3)
         assert dom.exact_gamma_t(gc53).nodes == 39
-        assert dom.exact_gamma_t(shuffled).nodes == 430
-        for other, nodes in ((gc53, 39), (shuffled, 430)):
+        assert dom.exact_gamma_t(shuffled).nodes == 124
+        for other, nodes in ((gc53, 39), (shuffled, 124)):
             g = disjoint_union(gc53, other)
             assert hc.cube_dimension(g.rows()) == 0
             res = dom.exact_gamma_t(g)
@@ -316,6 +335,14 @@ class TestExactGammaT:
             values.append(dom.exact_gamma_t(g).exact)
             assert values[-1] == dom.gamma_t_exhaustive(g)
         assert len(graphs) == 44 and values[9] == 6
+
+    def test_transitivity_check_agrees_with_vf2pp(self):
+        graphs = [g for g in small_corpus() if is_connected(g)]
+        graphs += [hc.Graph.from_edges(m, edges) for m, edges in
+                   random_isolated_free_graphs(count=400, max_m=16, seed=5) if m == 16]
+        verdicts = [hc.vertex_transitive(g.rows()) for g in graphs]
+        assert verdicts == [is_vertex_transitive(g.rows()) for g in graphs]
+        assert len(graphs) == 179 + 44 and verdicts.count(True) == 12
 
     def test_dimacs_copy_in_natural_labelling_keeps_the_symmetry(self, gc64, gc64_exact):
         res = dom.exact_gamma_t(hc.read_dimacs(hc.write_dimacs(gc64)))
@@ -573,7 +600,7 @@ class TestDeadline:
 
     def test_symmetry_check_cut_short_claims_no_symmetry(self, clock, monkeypatch):
         gc64 = hc.build_hamming_graph(6, 4, complemented=True)
-        checks, orbit_calls = [], []
+        checks, orbit_calls, transitivity_checks = [], [], []
         check, orbits = dom.cube_dimension, dom.coordinate_orbits
 
         def recording_check(rows, expired):
@@ -587,6 +614,10 @@ class TestDeadline:
             return orbits(cells, order)
         monkeypatch.setattr(dom, "cube_dimension", recording_check)
         monkeypatch.setattr(dom, "coordinate_orbits", counting_orbits)
+        # the transitivity check never starts after a cube check: one that
+        # finished found Q_6, and one cut short leaves no time
+        monkeypatch.setattr(dom, "vertex_transitive",
+                            lambda rows, expired: transitivity_checks.append(rows))
         clock.now = 0
         assert dom.exact_gamma_t(gc64, time_limit=1e9).nodes == 2782
         [(start, end, n)] = checks
@@ -599,6 +630,36 @@ class TestDeadline:
             assert res.status == "bounds_only" and checks[0][2] == n, cut
             assert bool(orbit_calls) == (n > 0)
             assert res.upper == len(res.witness) and dom.is_total_dominating(gc64, res.witness)
+        assert transitivity_checks == []
+
+    def test_transitivity_check_cut_short_claims_nothing(self, clock, monkeypatch):
+        g = relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3)
+        checks = []
+        check = dom.vertex_transitive
+
+        def recording_check(rows, expired):
+            start = clock.now
+            found = check(rows, expired)
+            checks.append((start, clock.now, found))
+            return found
+        monkeypatch.setattr(dom, "vertex_transitive", recording_check)
+        clock.now = 0
+        assert dom.exact_gamma_t(g, time_limit=1e9).nodes == 124
+        [(start, end, found)] = checks
+        assert found and end - start > 50  # one reading per refinement step
+        # the reading that starts the clock is reading 1, so reading
+        # cut + 2 is the first late one
+        for cut in range(start - 1, end - 1, 7):
+            clock.now = 0
+            checks.clear()
+            res = dom.exact_gamma_t(g, time_limit=cut + 0.5)
+            # the check stops at its first late reading and claims nothing;
+            # the search without symmetry stops at its first node, then the
+            # last reading for elapsed_s
+            assert checks == [(start, cut + 2, False)], cut
+            assert res.status == "bounds_only" and res.nodes == 1
+            assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
+            assert clock.now == cut + 2 + 1 + 1
 
 
 class TestTightExamples:
