@@ -235,9 +235,10 @@ def _cmd_complex(args):
 def _cmd_homology(args):
     if args.up_to < 0:
         raise ValueError("--up-to must be >= 0")
-    snf_cap = homology.DEFAULT_SNF_CAP
+    snf_cap = None  # the integer pipeline's cap; GF(2) takes none
     if args.coefficients == "z":
-        snf_cap = _resolve_cap(args.snf_cap, "--snf-cap", "VRHQ_SNF_CAP", snf_cap)
+        snf_cap = _resolve_cap(args.snf_cap, "--snf-cap", "VRHQ_SNF_CAP",
+                               homology.DEFAULT_SNF_CAP)
     elif args.snf_cap is not None:
         raise ValueError("--snf-cap needs --coefficients z, the only pipeline it caps")
     if args.complex_file is not None:

@@ -28,11 +28,12 @@ CHECK_BITS = 1 << 20
 
 
 class _Expiry:
-    """The clock of a set-up phase whose steps each read up to `bits` bits:
-    call it once per step; true once `deadline` has passed.  It reads the
-    clock only every CHECK_BITS // bits calls, and never without a deadline.
-    Once true it stays true without another reading, and `late` records it,
-    so a later phase can tell that this one was cut short."""
+    """The clock of a phase whose steps each read up to `bits` bits: call it
+    once per step; true once `deadline` has passed.  It reads the clock only
+    every CHECK_BITS // bits calls, and never without a deadline; the search
+    passes bits = CHECK_BITS, one reading per node.  Once true it stays true
+    without another reading, and `late` records it, so a later phase can
+    tell that this one was cut short."""
 
     __slots__ = ("deadline", "stride", "steps", "late")
 
@@ -114,29 +115,34 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
 
 @dataclass(frozen=True)
 class DominationResult:
-    """Outcome of the exact solver.
+    """Outcome of the exact solver: proven bounds lower <= gamma_t <= upper
+    and a valid total dominating set of size `upper`.
 
-    status is "exact" (lower == exact == upper == len(witness)) or
-    "bounds_only" when the time limit expired first; the witness is always a
-    valid total dominating set of size `upper`.  A disconnected graph is
+    The bounds are the only record of how far the solve got: `status` is
+    "exact" and `exact` is the value when they meet, whether or not the
+    search finished, else "bounds_only" and None.  A disconnected graph is
     solved one connected component at a time: `nodes` is summed over the
-    components, and a "bounds_only" `lower` is the sum of each component's
-    exact value or, where its search was cut short, its ceil(m_i / Delta_i).
+    components, and `lower` is the sum of each component's exact value or,
+    where its search was cut short, its ceil(m_i / Delta_i).
     """
 
     lower: int
     upper: int
     witness: frozenset[int]
-    status: str
-    exact: int | None = None
     nodes: int = 0
     elapsed_s: float = 0.0
 
     def __post_init__(self):
         if self.lower > self.upper:
             raise ValueError("lower bound exceeds upper bound")
-        if (self.status == "exact") != (self.exact is not None):
-            raise ValueError("exact value present iff status is exact")
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.lower == self.upper else "bounds_only"
+
+    @property
+    def exact(self) -> int | None:
+        return self.upper if self.lower == self.upper else None
 
 
 def _components(rows, deadline=None) -> list[int]:
@@ -278,7 +284,7 @@ def coordinate_orbits(cells, order):
 
 def _search(g: Graph, deadline):
     """Branch-and-bound on one graph; returns (lower, size, witness mask,
-    nodes, timed_out), with lower == size when the search finished.
+    nodes), with lower == size unless the search's `_Expiry` ran late.
 
     A node is one call dfs(size, chosen, dominated, selectable, cells) and
     holds no state beyond its arguments.  It records a leaf, or asks
@@ -325,15 +331,14 @@ def _search(g: Graph, deadline):
     lower = trivial_lower_bound(g)
 
     nodes = 0
-    timed_out = False
+    stop = _Expiry(deadline, CHECK_BITS)
 
     def dfs(size, chosen, dominated, selectable, cells):
         # cells is the coordinate partition, None once it is discrete or
         # with no symmetry
-        nonlocal best_size, best_mask, nodes, timed_out
+        nonlocal best_size, best_mask, nodes
         nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
+        if stop():
             return
         if dominated == full:
             if size < best_size:
@@ -354,7 +359,7 @@ def _search(g: Graph, deadline):
             selectable &= ~(1 << c)
             dfs(size + 1, chosen | (1 << c), dominated | rows[c], selectable,
                 cells and _refine(cells, c))
-            if timed_out:
+            if stop.late:
                 break
             # the rest of the orbit stays selectable in c's subtree only
             for v in orbit[1:]:
@@ -363,15 +368,13 @@ def _search(g: Graph, deadline):
     if best_size > lower:
         expired = _Expiry(deadline, m)
         n = cube_dimension(rows, expired)
-        if n:
-            dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1])
-        elif not expired.late and vertex_transitive(rows, _Expiry(deadline, m * m)):
-            dfs(1, 1, rows[0], full ^ 1, None)
+        if n or not expired.late and vertex_transitive(rows, _Expiry(deadline, m * m)):
+            dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1] if n else None)
         else:
             dfs(0, 0, 0, full, None)
-    if not timed_out:
+    if not stop.late:
         lower = best_size
-    return lower, best_size, best_mask, nodes, timed_out
+    return lower, best_size, best_mask, nodes
 
 
 def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult:
@@ -405,12 +408,12 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     With no time limit the result is exact.  The deadline covers everything
     after the graph is built: the component split, the greedy incumbent and
     the symmetry checks read the clock once per CHECK_BITS bits of bitset
-    work, and the search at every node.  On expiry the result has status
-    "bounds_only", with the incumbent (completed cheaply if the greedy was
-    cut short) as `upper` and, per component, the trivial bound
-    ceil(m_i / Delta_i) (or the exact value, for a component that finished)
-    summed into `lower`.  A split cut short leaves the unsplit rest as one
-    part.
+    work, and the search at every node, each phase through its own
+    `_Expiry`.  On expiry `upper` is the incumbent (completed cheaply if the
+    greedy was cut short) and `lower` sums, per component, the exact value
+    of one that finished or the trivial bound ceil(m_i / Delta_i); the
+    result is exact when they meet.  A split cut short leaves the unsplit
+    rest as one part.
     """
     _require_no_isolated(g)
     start = time.monotonic()
@@ -424,22 +427,14 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
                  for verts in (list(iter_bits(comp)) for comp in comps)]
     lower = upper = nodes = 0
     witness = set()
-    timed_out = False
     for verts, part in parts:
-        part_lower, size, mask, part_nodes, part_timed_out = _search(part, deadline)
+        part_lower, size, mask, part_nodes = _search(part, deadline)
         lower += part_lower
         upper += size
         nodes += part_nodes
-        timed_out = timed_out or part_timed_out
         witness.update(verts[i] for i in dense_bits(mask))
-    witness = frozenset(witness)
-    elapsed = time.monotonic() - start
-    if timed_out:
-        return DominationResult(lower=lower, upper=upper, witness=witness,
-                                status="bounds_only", nodes=nodes, elapsed_s=elapsed)
-    return DominationResult(lower=upper, upper=upper, witness=witness,
-                            status="exact", exact=upper,
-                            nodes=nodes, elapsed_s=elapsed)
+    return DominationResult(lower=lower, upper=upper, witness=frozenset(witness),
+                            nodes=nodes, elapsed_s=time.monotonic() - start)
 
 
 def gamma_t_exhaustive(g: Graph) -> int:

@@ -337,18 +337,23 @@ def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
 
 
 def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2",
-                     snf_cap: int = DEFAULT_SNF_CAP) -> BettiProfile:
+                     snf_cap: int | None = None) -> BettiProfile:
     """Reduced homology beta~_0..beta~_up_to over GF(2) or the integers.
 
     The integer pipeline reports free ranks plus the invariant factors > 1
     per degree; ranks come from the same Smith normal forms.  Every
-    operator's shape is checked against snf_cap (TooLarge) before any
-    boundary matrix is built.
+    operator's shape is checked against snf_cap (TooLarge; DEFAULT_SNF_CAP
+    when None) before any boundary matrix is built.  The cap bounds the
+    integer pipeline only: with "gf2" a cap is a ValueError.
     """
     if coefficients not in ("gf2", "z"):
         raise ValueError("coefficients must be 'gf2' or 'z'")
     if coefficients == "gf2":
+        if snf_cap is not None:
+            raise ValueError("snf_cap caps coefficients 'z' only")
         return betti_gf2(k, up_to)
+    if snf_cap is None:
+        snf_cap = DEFAULT_SNF_CAP
     _check_truncation(k, up_to)
     f = k.f_vector()
     for p in range(up_to + 2):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from vrhq import bounds, cli
+from vrhq import bounds, cli, render
 from vrhq.complexes import format_complex, vietoris_rips
 
 
@@ -404,6 +405,7 @@ class TestFlagErrors:
         ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "inf"],
         ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "1e400s"],
         ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "1e308h"],
+        ["gamma-t", "--n", "3", "--r", "1", "--time-limit", "-1"],
     ])
     def test_exit_2(self, capsys, argv):
         assert cli.main(argv) == 2
@@ -416,6 +418,7 @@ class TestFlagErrors:
         ["bound", "--n", "7", "--r", "5", "--format", "yaml"],
         ["gamma-t", "--n", "3", "--r", "2", "--time-limit", "soon"],
         [],
+        ["gamma-t", "--n", "3", "--r", "1", "--time-limit", "-1"],
     ])
     def test_parse_errors_print_no_envelope(self, capsys, argv):
         assert cli.main(argv) == 2
@@ -429,6 +432,9 @@ class TestFlagErrors:
         ["witness", "--n", "3", "--r", "-1", "--vertices", "0,7"],
         ["witness", "--n", "0", "--r", "0", "--vertices", ","],
         ["witness", "--n", "-2", "--r", "1", "--vertices", ","],
+        ["homology", "--complex", "missing.cx", "--n", "3", "--up-to", "0"],
+        ["homology", "--up-to", "0"],
+        ["homology", "--n", "3", "--r", "2", "--up-to", "-1"],
     ])
     def test_errors_after_parsing_print_one_envelope(self, capsys, argv):
         code, env = run_json(capsys, *argv)
@@ -465,6 +471,11 @@ class TestFlagErrors:
         code, env = run_json(capsys, *argv, flag, "0")
         assert code == 4
         assert env["status"]["code"] == "too_large"
+        monkeypatch.setenv(env_name, "abc")
+        code, env = run_json(capsys, *argv)
+        assert code == 2
+        assert env["status"] == {"code": "value_error",
+                                 "message": f"{env_name} must be an integer, got 'abc'"}
 
     def test_domain_error_envelope(self, capsys):
         code, env = run_json(capsys, "bound", "--n", "0", "--r", "0")
@@ -490,6 +501,8 @@ class TestFlagErrors:
         assert cli._parse_duration("2m") == 120.0
         assert cli._parse_duration("0.5h") == 1800.0
         assert cli._parse_duration("42") == 42.0
+        with pytest.raises(argparse.ArgumentTypeError, match="duration must be non-negative"):
+            cli._parse_duration("-1")
 
 
 class TestGammaT64:
@@ -517,6 +530,95 @@ class TestDeterminism:
         _, b = run_json(capsys, *argv)
         del a["provenance"]["wall_clock"], b["provenance"]["wall_clock"]
         assert a == b
+
+
+# The exact CSV and Markdown bytes of the commands whose tabular projections
+# no other test renders; {out} stands for the complex file written.
+GOLDEN_TABLES = [
+    (["bound", "--n", "20", "--r", "18"], "csv",
+     "n,r,contractible,alpha_numerator,alpha_denominator,k,connectivity,paper_printed\n"
+     "20,18,false,524288,21,24966,24965,24964\n"),
+    (["bound", "--n", "20", "--r", "18"], "md",
+     "| n | r | contractible | alpha_numerator | alpha_denominator | k | "
+     "connectivity | paper_printed |\n"
+     "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+     "| 20 | 18 | false | 524288 | 21 | 24966 | 24965 | 24964 |\n"),
+    (["bound", "--n", "3", "--r", "3"], "csv",
+     "n,r,contractible,alpha_numerator,alpha_denominator,k,connectivity,paper_printed\n"
+     "3,3,true,,,,,\n"),
+    (["bound", "--n", "3", "--r", "3"], "md",
+     "| n | r | contractible | alpha_numerator | alpha_denominator | k | "
+     "connectivity | paper_printed |\n"
+     "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+     "| 3 | 3 | true |  |  |  |  |  |\n"),
+    (["counterexamples", "--n-max", "8"], "csv",
+     "n,r,connectivity\n"
+     "7,5,6\n"
+     "8,6,13\n"),
+    (["counterexamples", "--n-max", "8"], "md",
+     "| n | r | connectivity |\n"
+     "| --- | --- | --- |\n"
+     "| 7 | 5 | 6 |\n"
+     "| 8 | 6 | 13 |\n"),
+    (["gamma-t", "--n", "5", "--r", "3"], "csv",
+     "kind,m,max_degree,mode,lower,upper,exact,status,witness\n"
+     "hamming_complement,32,6,branch_and_bound,7,7,7,exact,0 13 15 19 22 26 29\n"),
+    (["gamma-t", "--n", "5", "--r", "3"], "md",
+     "| kind | m | max_degree | mode | lower | upper | exact | status | witness |\n"
+     "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+     "| hamming_complement | 32 | 6 | branch_and_bound | 7 | 7 | 7 | exact | "
+     "0 13 15 19 22 26 29 |\n"),
+    (["gamma-t", "--n", "4", "--r", "2", "--exhaustive"], "csv",
+     "kind,m,max_degree,mode,lower,upper,exact,status,witness\n"
+     "hamming_complement,16,5,exhaustive,4,4,4,exact,\n"),
+    (["gamma-t", "--n", "4", "--r", "2", "--exhaustive"], "md",
+     "| kind | m | max_degree | mode | lower | upper | exact | status | witness |\n"
+     "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+     "| hamming_complement | 16 | 5 | exhaustive | 4 | 4 | 4 | exact |  |\n"),
+    (["complex", "--n", "3", "--r", "2", "--max-dim", "3", "--out", "{out}"], "csv",
+     "n,r,max_dim,simplex_count,euler_characteristic,f_vector,out\n"
+     "3,2,3,80,0,8 24 32 16,{out}\n"),
+    (["complex", "--n", "3", "--r", "2", "--max-dim", "3", "--out", "{out}"], "md",
+     "| n | r | max_dim | simplex_count | euler_characteristic | f_vector | out |\n"
+     "| --- | --- | --- | --- | --- | --- | --- |\n"
+     "| 3 | 2 | 3 | 80 | 0 | 8 24 32 16 | {out} |\n"),
+    (["witness", "--n", "3", "--r", "2", "--vertices", "0,7"], "csv",
+     "n,r,vertices,is_matching_complement,is_cross_polytope_boundary,"
+     "is_total_dominating_in_complement,missing_pairs,recovered_pairs\n"
+     "3,2,0 7,true,true,false,,\"0,7\"\n"),
+    (["witness", "--n", "3", "--r", "2", "--vertices", "0,7"], "md",
+     "| n | r | vertices | is_matching_complement | is_cross_polytope_boundary | "
+     "is_total_dominating_in_complement | missing_pairs | recovered_pairs |\n"
+     "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+     "| 3 | 2 | 0 7 | true | true | false |  | 0,7 |\n"),
+    (["witness", "--n", "3", "--r", "2", "--vertices", "0,1,2,3"], "csv",
+     "n,r,vertices,is_matching_complement,is_cross_polytope_boundary,"
+     "is_total_dominating_in_complement,missing_pairs,recovered_pairs\n"
+     "3,2,0 1 2 3,true,false,false,\"0,0;1,1;2,2;3,3\",\n"),
+    (["witness", "--n", "3", "--r", "2", "--vertices", "0,1,2,3"], "md",
+     "| n | r | vertices | is_matching_complement | is_cross_polytope_boundary | "
+     "is_total_dominating_in_complement | missing_pairs | recovered_pairs |\n"
+     "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+     "| 3 | 2 | 0 1 2 3 | true | false | false | 0,0;1,1;2,2;3,3 |  |\n"),
+]
+
+
+class TestTabularOutput:
+    @pytest.mark.parametrize("argv, fmt, want", GOLDEN_TABLES,
+                             ids=[" ".join(argv + [fmt]) for argv, fmt, _ in GOLDEN_TABLES])
+    def test_exact_bytes(self, capsys, tmp_path, argv, fmt, want):
+        out = str(tmp_path / "k.cx")
+        code, text = run_cli(capsys, *[a.replace("{out}", out) for a in argv],
+                             "--format", fmt)
+        assert code == 0
+        assert text == want.replace("{out}", out)
+
+    def test_handlers_projections_and_schemas_name_the_same_commands(self):
+        schemas = {path.name.removesuffix(".schema.json").replace("_", "-")
+                   for path in (resources.files("vrhq") / "schemas").iterdir()}
+        schemas.remove("envelope")
+        assert set(cli._HANDLERS) == set(render._PROJECTIONS) == schemas
+        assert len(schemas) == 7
 
 
 class TestMalformedInputFuzz:

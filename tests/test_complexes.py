@@ -262,6 +262,8 @@ class TestComplexFile:
         "dim 1 vertices 3\n0\n1\n0 2\n",           # missing facet (2 not listed)
         "dim 0 vertices 2\n0\n1\n0 1\n",           # simplex above header dim
         "dim 1 vertices 3\n0\n1\n2\n0 1\n2\n",     # descending dimension group
+        "dim -1 vertices 3\n",                     # negative header dim
+        "dim 0 vertices 1\nx\n",                   # non-integer vertex line
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):

@@ -571,6 +571,22 @@ class TestDeadline:
             # last reading for elapsed_s
             assert clock.now <= cut + 2 + 2 * 3 + 1
 
+    @pytest.mark.parametrize("index", [10, 60, 68])  # m = 9, 11, 15
+    def test_status_is_read_off_the_bounds(self, clock, index):
+        # a search cut short after its incumbent met the trivial bound has
+        # proved the value: the result is exact, however far it got
+        m, edges = random_isolated_free_graphs(count=400, max_m=16, seed=5)[index]
+        g = hc.Graph.from_edges(m, edges)
+        met = 0
+        for cut in range(81):
+            clock.now = 0
+            res = dom.exact_gamma_t(g, time_limit=cut + 0.5)
+            assert (res.status == "exact") == (res.lower == res.upper), cut
+            assert res.exact == (res.upper if res.lower == res.upper else None), cut
+            assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
+            met += res.lower == res.upper
+        assert 0 < met < 81
+
     def test_orbital_search_stops_at_the_deadline(self, clock, monkeypatch):
         gc86 = hc.build_hamming_graph(8, 6, complemented=True)  # connected, 256 vertices
         orbit_calls = []

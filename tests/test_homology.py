@@ -397,6 +397,16 @@ class TestReducedHomology:
             ho.reduced_homology(k, 4, "z")
         assert calls == []
 
+    def test_snf_cap_only_with_integer_coefficients(self):
+        k = cx.vietoris_rips(2, 1, 2)
+        with pytest.raises(ValueError, match="snf_cap"):
+            ho.reduced_homology(k, 1, "gf2", snf_cap=1)
+        assert ho.reduced_homology(k, 1, "gf2").reduced_betti == (0, 1)
+        # None means the default cap; an explicit one still applies
+        assert ho.reduced_homology(k, 1, "z", snf_cap=None).reduced_betti == (0, 1)
+        with pytest.raises(TooLarge):
+            ho.reduced_homology(k, 1, "z", snf_cap=1)
+
     def test_bad_coefficients(self):
         with pytest.raises(ValueError):
             ho.reduced_homology(cx.vietoris_rips(2, 1, 2), 1, "q")

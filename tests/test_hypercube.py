@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -219,6 +220,9 @@ class TestVertexTransitive:
         assert hc.vertex_transitive(petersen)
         needed = len(split_steps)
         assert not hc.vertex_transitive(petersen, expired=lambda: True)
+        # expiry seen only by the check of a leaf's map, not by refinement
+        leaf_check = lambda: sys._getframe(1).f_code.co_name == "automorphism"
+        assert not hc.vertex_transitive(petersen, expired=leaf_check)
         monkeypatch.setattr(hc, "TRANSITIVITY_STEPS", needed - 1)
         assert not hc.vertex_transitive(petersen)
         monkeypatch.setattr(hc, "TRANSITIVITY_STEPS", needed)
@@ -329,6 +333,7 @@ class TestDimacs:
         ("p edge 3 1\nq 1 2\n", 2),           # unknown line type
         ("p edge x 1\ne 1 2\n", 1),           # non-integer header
         ("p edge 3 1\ne 1 y\n", 2),           # non-integer endpoint
+        ("p edge -1 0\n", 1),                 # negative vertex count
     ])
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as exc:
