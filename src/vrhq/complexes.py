@@ -21,19 +21,28 @@ DEFAULT_MAX_SIMPLICES = 10 ** 8
 
 
 class SimplicialComplex:
-    """Simplices graded by dimension 0..max_dim_requested, closed under faces."""
+    """Simplices graded by dimension, closed under faces, truncated at
+    max_dim_requested.
+
+    Only the buckets up to the last nonempty dimension are stored; the
+    truncation is recorded once, in max_dim_requested, so dimensions above
+    the last simplex cost nothing until f_vector() pads them with zeros.
+    """
 
     __slots__ = ("n_vertices", "max_dim_requested", "_by_dim")
 
     def __init__(self, n_vertices, max_dim_requested, by_dim):
-        if len(by_dim) != max_dim_requested + 1:
-            raise ValueError("by_dim must have one bucket per dimension 0..max_dim_requested")
+        by_dim = [list(bucket) for bucket in by_dim]
+        if len(by_dim) > max_dim_requested + 1:
+            raise ValueError("by_dim has buckets above max_dim_requested")
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
         self.n_vertices = n_vertices
         self.max_dim_requested = max_dim_requested
-        self._by_dim = [list(bucket) for bucket in by_dim]
+        self._by_dim = by_dim
 
     def simplices(self, d: int) -> list[tuple[int, ...]]:
-        if 0 <= d <= self.max_dim_requested:
+        if 0 <= d < len(self._by_dim):
             return self._by_dim[d]
         return []
 
@@ -43,8 +52,8 @@ class SimplicialComplex:
         return {s: i for i, s in enumerate(self.simplices(d))}
 
     def f_vector(self) -> tuple[int, ...]:
-        """Simplex counts per dimension, trailing zeros kept up to the truncation."""
-        return tuple(len(bucket) for bucket in self._by_dim)
+        """Simplex counts per dimension, zero-padded up to the truncation."""
+        return tuple(len(self.simplices(d)) for d in range(self.max_dim_requested + 1))
 
     def euler_characteristic(self) -> int:
         """Alternating sum of the f-vector of the complex as built."""
@@ -91,12 +100,11 @@ def _clique_complex(rows, m, max_dim, max_simplices):
             # never held whole
             if total + len(simplices) > cap:
                 raise TooLarge(f"simplex count exceeds the cap of {cap}")
+        if not simplices:
+            break
         total += len(simplices)
         by_dim.append(simplices)
         exts = nxt_exts
-        if not simplices:
-            by_dim.extend([] for _ in range(max_dim - d))
-            break
     return by_dim
 
 
@@ -221,14 +229,22 @@ def format_complex(k: SimplicialComplex) -> str:
     """Serialize: header 'dim D vertices N', then one simplex per line as
     space-separated increasing vertex indices, grouped by ascending dimension."""
     lines = [f"dim {k.max_dim_requested} vertices {k.n_vertices}"]
-    for d in range(k.max_dim_requested + 1):
-        for simplex in k.simplices(d):
-            lines.append(" ".join(map(str, simplex)))
+    for bucket in k._by_dim:
+        lines.extend(" ".join(map(str, simplex)) for simplex in bucket)
     return "\n".join(lines) + "\n"
 
 
 def parse_complex(text: str) -> SimplicialComplex:
-    """Parse the complex file format, validating grading and face closure."""
+    """Parse the complex file format, validating grading and face closure.
+
+    The header's 'dim D' is the truncation: nothing is allocated per
+    declared dimension, and a bucket opens when its dimension first appears.
+    Blank lines are skipped.  Every line is checked against one set of the
+    simplices read so far (tuple length keeps dimensions apart): a simplex
+    may not repeat, and all its facets must come earlier in the file.  When
+    several are missing, the error names the facet that omits the lowest
+    vertex.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty complex file")
@@ -242,36 +258,37 @@ def parse_complex(text: str) -> SimplicialComplex:
     if max_dim < 0 or n_vertices < 0:
         raise ParseError("negative header counts", 1)
 
-    by_dim = [[] for _ in range(max_dim + 1)]
-    seen = [set() for _ in range(max_dim + 1)]
-    current_dim = 0
+    by_dim = []
+    seen = set()
     for lineno, raw in enumerate(lines[1:], 2):
         line = raw.strip()
         if not line:
             continue
         try:
-            verts = tuple(int(tok) for tok in line.split())
+            verts = tuple(map(int, line.split()))
         except ValueError:
             raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
         d = len(verts) - 1
         if d > max_dim:
             raise ParseError(f"simplex of dimension {d} exceeds header dim {max_dim}", lineno)
-        if any(not 0 <= v < n_vertices for v in verts):
+        if min(verts) < 0 or max(verts) >= n_vertices:
             raise ParseError("vertex index out of range", lineno)
-        if any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
+        if not all(map(int.__lt__, verts, verts[1:])):
             raise ParseError("vertices must be strictly increasing", lineno)
-        if d < current_dim:
+        if d < len(by_dim) - 1:
             raise ParseError("simplices must be grouped by ascending dimension", lineno)
-        current_dim = d
-        if verts in seen[d]:
+        if verts in seen:
             raise ParseError(f"duplicate simplex {line!r}", lineno)
-        if d > 0:
-            for j in range(len(verts)):
-                facet = verts[:j] + verts[j + 1:]
-                if facet not in seen[d - 1]:
-                    raise ParseError(
-                        f"missing facet {' '.join(map(str, facet))} of {line!r}", lineno)
-        seen[d].add(verts)
+        if d and not seen.issuperset(itertools.combinations(verts, d)):
+            # combinations omit the highest vertex first, so reversed they
+            # come in order of the vertex omitted, lowest first
+            facet = next(f for f in reversed(list(itertools.combinations(verts, d)))
+                         if f not in seen)
+            raise ParseError(
+                f"missing facet {' '.join(map(str, facet))} of {line!r}", lineno)
+        if d == len(by_dim):
+            by_dim.append([])
+        seen.add(verts)
         by_dim[d].append(verts)
     for bucket in by_dim:
         bucket.sort()

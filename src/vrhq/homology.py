@@ -175,8 +175,8 @@ def _reduced_betti(k, ranks) -> tuple[int, ...]:
 
     `ranks` holds rank d_0..rank d_{up_to+1}, giving beta~_0..beta~_up_to.
     """
-    f = k.f_vector()
-    return tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
+    return tuple(len(k.simplices(i)) - ranks[i] - ranks[i + 1]
+                 for i in range(len(ranks) - 1))
 
 
 def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
@@ -355,7 +355,7 @@ def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2"
     if snf_cap is None:
         snf_cap = DEFAULT_SNF_CAP
     _check_truncation(k, up_to)
-    f = k.f_vector()
+    f = [len(k.simplices(p)) for p in range(up_to + 2)]
     for p in range(up_to + 2):
         _check_snf_cap(f[p - 1] if p else min(f[0], 1), f[p], snf_cap)
     snfs = [smith_normal_form(_operator(k, p).dense_rows(), cap=snf_cap)

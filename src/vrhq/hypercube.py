@@ -15,10 +15,11 @@ from collections import Counter, deque
 from .bitops import dense_bits, iter_bits
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
 
-# Bounds n only, not memory: an explicit graph on Q_n holds 2^n adjacency
-# rows of 2^n bits, 2^(2n) / 8 bytes in all, already 512 MiB at n = 16 and
-# 32 TiB at n = 24.  Larger n is still served implicitly through
-# hamming_distance().
+# Bounds the size of an explicit graph, not memory: 2^MATERIALIZE_CEILING
+# vertices, whether built on Q_n or read from a DIMACS header.  A graph on
+# m vertices holds m adjacency rows of m bits, m^2 / 8 bytes in all, already
+# 512 MiB at m = 2^16 and 32 TiB at m = 2^24.  Larger n is still served
+# implicitly through hamming_distance().
 MATERIALIZE_CEILING = 24
 
 
@@ -372,7 +373,10 @@ def vertex_transitive(rows, expired=None) -> bool:
 
 def read_dimacs(text: str) -> Graph:
     """Parse DIMACS edge format: optional 'c' comments, one 'p edge M E'
-    header, then 'e u v' lines with 1-indexed endpoints."""
+    header, then 'e u v' lines with 1-indexed endpoints.
+
+    M above 2^MATERIALIZE_CEILING raises DimensionTooLarge at the problem
+    line, before anything is sized by it."""
     m = None
     declared_edges = None
     edges = set()
@@ -392,6 +396,10 @@ def read_dimacs(text: str) -> Graph:
                 raise ParseError(f"non-integer counts in {line!r}", lineno) from None
             if m < 0 or declared_edges < 0:
                 raise ParseError("negative counts in problem line", lineno)
+            if m > 1 << MATERIALIZE_CEILING:
+                raise DimensionTooLarge(
+                    f"line {lineno}: {m} vertices exceed the ceiling 2^{MATERIALIZE_CEILING}"
+                    f" = {1 << MATERIALIZE_CEILING} for an explicit graph")
         elif parts[0] == "e":
             if m is None:
                 raise ParseError("edge line before problem line", lineno)

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -275,6 +276,14 @@ class TestComplexCommand:
                              "--max-dim", "1", "--out", str(tmp_path / "x.cx"))
         assert code == 4
         assert env["status"]["code"] == "dimension_too_large"
+
+    def test_negative_max_dim_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "x.cx"
+        code, env = run_json(capsys, "complex", "--n", "3", "--r", "2",
+                             "--max-dim", "-1", "--out", str(out))
+        assert code == 2
+        assert env["status"] == {"code": "value_error", "message": "max_dim must be >= 0"}
+        assert not out.exists()
 
 
 class TestHomologyCommand:
@@ -620,6 +629,11 @@ class TestTabularOutput:
         assert set(cli._HANDLERS) == set(render._PROJECTIONS) == schemas
         assert len(schemas) == 7
 
+    def test_unknown_format_is_a_value_error(self, capsys):
+        _, env = run_json(capsys, "bound", "--n", "7", "--r", "5")
+        with pytest.raises(ValueError, match="unknown format 'yaml'"):
+            render.encode(env, "yaml")
+
 
 class TestMalformedInputFuzz:
     import hypothesis
@@ -655,3 +669,39 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "vrhq", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.startswith("vrhq ")
+
+
+def run_limited(*argv):
+    """Run `python -m vrhq ARGV` in a child process whose address space is
+    capped at 1 GiB, with a 30 s timeout.  Only the child is limited, so an
+    allocation sized by a declared count ends there as memory_error instead
+    of taking the host's memory.  Returns (exit code, envelope, seconds)."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "vrhq", *argv], capture_output=True,
+                          text=True, preexec_fn=cap, timeout=30)
+    return proc.returncode, strict_loads(proc.stdout), time.perf_counter() - started
+
+
+class TestResourceContract:
+    """A file header declares sizes; nothing is allocated by a declared size
+    before it is checked, so a tiny file cannot exhaust memory."""
+
+    def test_complex_header_dimension_costs_nothing(self, tmp_path):
+        path = tmp_path / "deep.cx"
+        path.write_text("dim 100000000 vertices 1\n0\n")
+        code, env, elapsed = run_limited("homology", "--complex", str(path), "--up-to", "0")
+        assert code == 0, env["status"]
+        assert env["result"]["reduced_betti"] == [0]
+        assert elapsed < 5
+
+    def test_dimacs_vertex_count_above_the_ceiling_exits_4(self, tmp_path):
+        path = tmp_path / "huge.dimacs"
+        path.write_text("p edge 1000000000 0\n")
+        code, env, _ = run_limited("gamma-t", "--dimacs", str(path))
+        assert code == 4
+        assert env["status"]["code"] == "dimension_too_large"

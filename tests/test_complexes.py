@@ -93,6 +93,11 @@ class TestVietorisRips:
     def test_truncation_pads_empty_dimensions(self):
         k = cx.vietoris_rips(2, 1, 5)
         assert k.f_vector() == (4, 4, 0, 0, 0, 0)
+        assert k.simplices(2) == k.simplices(6) == k.simplices(-1) == []
+        assert repr(k) == "SimplicialComplex(n_vertices=4, f_vector=(4, 4, 0, 0, 0, 0))"
+        assert k == cx.SimplicialComplex(4, 5, [k.simplices(0), k.simplices(1), [], []])
+        with pytest.raises(ValueError):
+            cx.SimplicialComplex(2, 0, [[(0,), (1,)], [(0, 1)]])
 
 
 class TestIndependenceComplex:
@@ -237,6 +242,28 @@ class TestFundamentalCycle:
         assert len(cx.fundamental_cycle(pairs)) == 16
 
 
+PARSE_ERRORS = [
+    ("", None, "empty complex file"),
+    ("dim x vertices 4\n", 1, "non-integer header counts"),
+    ("vertices 4 dim 1\n", 1, "expected 'dim D vertices N'"),
+    ("dim -1 vertices 3\n", 1, "negative header counts"),
+    ("dim 1 vertices 2\n0\n1\n0 1\n0 1\n", 5, "duplicate simplex '0 1'"),
+    ("dim 1 vertices 2\n0\n1\n1 0\n", 4, "vertices must be strictly increasing"),
+    ("dim 1 vertices 2\n0\n1\n0 2\n", 4, "vertex index out of range"),
+    ("dim 1 vertices 3\n0\n1\n0 2\n", 4, "missing facet 2 of '0 2'"),
+    ("dim 0 vertices 2\n0\n1\n0 1\n", 4, "simplex of dimension 1 exceeds header dim 0"),
+    ("dim 1 vertices 3\n0\n1\n2\n0 1\n2\n", 6,
+     "simplices must be grouped by ascending dimension"),
+    ("dim 0 vertices 1\nx\n", 2, "non-integer vertex in 'x'"),
+    # padding is stripped before the line is quoted
+    ("dim 1 vertices 2\n0\n1\n0 1\n  0 1 \n", 5, "duplicate simplex '0 1'"),
+    # with two facets missing, the one omitting the lowest vertex is named
+    ("dim 2 vertices 3\n0\n1\n2\n0 1\n0 1 2\n", 6, "missing facet 1 2 of '0 1 2'"),
+    # blank lines are skipped but still counted
+    ("dim 1 vertices 2\n0\n\n1\n1 0\n", 5, "vertices must be strictly increasing"),
+]
+
+
 class TestComplexFile:
     def test_round_trip(self):
         k = cx.vietoris_rips(3, 2, 3)
@@ -244,7 +271,10 @@ class TestComplexFile:
         assert text.splitlines()[0] == "dim 3 vertices 8"
         again = cx.parse_complex(text)
         assert again == k
+        assert (k == object()) is False
         assert cx.format_complex(again) == text
+        # blank and whitespace-only lines are skipped anywhere after the header
+        assert cx.parse_complex(text.replace("\n", "\n \n\n")) == k
 
     def test_file_io(self, tmp_path):
         k = cx.vietoris_rips(2, 1, 2)
@@ -252,19 +282,11 @@ class TestComplexFile:
         cx.write_complex_file(k, path)
         assert cx.read_complex_file(path) == k
 
-    @pytest.mark.parametrize("text", [
-        "",                                        # empty
-        "dim x vertices 4\n",                      # bad header ints
-        "vertices 4 dim 1\n",                      # wrong header order
-        "dim 1 vertices 2\n0\n1\n0 1\n0 1\n",      # duplicate simplex
-        "dim 1 vertices 2\n0\n1\n1 0\n",           # unsorted vertices
-        "dim 1 vertices 2\n0\n1\n0 2\n",           # vertex out of range
-        "dim 1 vertices 3\n0\n1\n0 2\n",           # missing facet (2 not listed)
-        "dim 0 vertices 2\n0\n1\n0 1\n",           # simplex above header dim
-        "dim 1 vertices 3\n0\n1\n2\n0 1\n2\n",     # descending dimension group
-        "dim -1 vertices 3\n",                     # negative header dim
-        "dim 0 vertices 1\nx\n",                   # non-integer vertex line
-    ])
-    def test_parse_errors(self, text):
-        with pytest.raises(ParseError):
+    # ids are the texts alone, so each case keeps its name as cases are added
+    @pytest.mark.parametrize("text,line,message", PARSE_ERRORS,
+                             ids=[text for text, _, _ in PARSE_ERRORS])
+    def test_parse_errors(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
             cx.parse_complex(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(message if line is None else f"line {line}: {message}")

@@ -361,6 +361,8 @@ class TestExactGammaT:
         assert res.lower == dom.trivial_lower_bound(gc86) + 4 == 33
         assert dom.trivial_lower_bound(g) <= res.lower <= res.upper == len(res.witness)
         assert dom.is_total_dominating(g, res.witness)
+        with pytest.raises(ValueError):
+            dom.DominationResult(lower=3, upper=2, witness=frozenset())
 
     def test_gc64_value_regression(self, gc64, gc64_exact):
         # frozen output of this solver on the 64-vertex scale-4 complement;

@@ -460,6 +460,8 @@ class TestCycleIsBoundary:
             ho.cycle_is_gf2_boundary(k, [(0, 1)], 1)
         with pytest.raises(ValueError):
             ho.cycle_is_gf2_boundary(k, [(0,)], 0)  # odd augmentation
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            ho.cycle_is_gf2_boundary(k, [], -1)
 
     def test_unknown_simplex_rejected(self):
         k = cx.vietoris_rips(2, 1, 2)

@@ -344,6 +344,11 @@ class TestDimacs:
         with pytest.raises(ParseError):
             hc.read_dimacs("c nothing here\n")
 
+    def test_vertex_count_above_the_ceiling(self):
+        # rejected at the problem line, before the body is read or rows sized
+        with pytest.raises(DimensionTooLarge, match="line 1: .*2\\^24 = 16777216"):
+            hc.read_dimacs(f"p edge {(1 << hc.MATERIALIZE_CEILING) + 1} 0\ne 1 1\n")
+
     def test_writer_canonical_order(self):
         g = hc.Graph.from_edges(4, [(3, 1), (2, 0)])
         assert hc.write_dimacs(g) == "p edge 4 2\ne 1 3\ne 2 4\n"
