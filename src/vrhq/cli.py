@@ -189,12 +189,21 @@ def _cmd_counterexamples(args):
             "pairs": [{"n": n, "r": r, "connectivity": c} for n, r, c in pairs]}
 
 
+def _dimacs_graph(m, edges):
+    """The graph of a checked DIMACS file.  An edge covers two vertices, so
+    fewer than m / 2 edges leave one isolated: that ends gamma-t here,
+    before any list is sized by m."""
+    if 2 * len(edges) < m:
+        raise IsolatedVertex(domination.UNDEFINED_ON_ISOLATED)
+    return hypercube.Graph.from_edges(m, edges)
+
+
 def _load_gamma_t_graph(args):
     if args.dimacs is not None:
         if args.n is not None or args.r is not None:
             raise ValueError("--dimacs excludes --n/--r")
         with open(args.dimacs, "r", encoding="utf-8") as fh:
-            g = hypercube.read_dimacs(fh.read())
+            g = hypercube.read_dimacs(fh.read(), build=_dimacs_graph)
         info = {"kind": "dimacs", "path": args.dimacs, "m": g.m,
                 "max_degree": g.max_degree}
     else:

@@ -50,9 +50,12 @@ class _Expiry:
         return self.late
 
 
+UNDEFINED_ON_ISOLATED = "total domination is undefined on graphs with isolated vertices"
+
+
 def _require_no_isolated(g: Graph):
     if g.m == 0 or g.has_isolated_vertex():
-        raise IsolatedVertex("total domination is undefined on graphs with isolated vertices")
+        raise IsolatedVertex(UNDEFINED_ON_ISOLATED)
 
 
 def is_total_dominating(g: Graph, vertices) -> bool:

@@ -1,16 +1,18 @@
 """Simplicial reduced homology of truncated complexes.
 
-The default detector works over GF(2): boundary matrices become bit-packed
-integer columns and ranks come from Gaussian elimination, which is orders of
-magnitude faster than integer reduction.  Clear and compress (Chen-Kerber
-2011; Bauer-Kerber-Reininghaus 2014) shrink every matrix before it is
-packed.  Clearing: a column of d_p that is the largest row of some column
-of d_{p+1} is dropped, because dd = 0 makes it the GF(2) sum of columns
-with smaller indices; the top degree has no cofaces built and keeps all
-its columns.  Compression: every degree, the top one included, drops the
-rows that are pivot columns of the degree below and packs the rest densely,
-so each column is only as wide as the rows left.  Each elimination stops
-once it has as many pivots as rows.  An exact integer pipeline via
+The default detector works over GF(2): ranks come from Gaussian elimination
+on sparse columns, which is orders of magnitude faster than integer
+reduction.  A column is packed into an integer bitset only when a reduction
+needs it: one whose leading row is new becomes a pivot as it is.  Clear and
+compress (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014) shrink every
+matrix before it is reduced.  Clearing: a column of d_p that is the
+lexicographically largest facet of some (p+1)-simplex is dropped, because
+dd = 0 makes it the GF(2) sum of the simplex's other facets, all smaller;
+the top degree has no cofaces built and keeps all its columns.
+Compression: every degree, the top one included, drops the rows that are
+pivot columns of the degree below and numbers the rest densely, so a packed
+column is only as wide as the rows left.  Each elimination stops once it
+has as many pivots as rows.  An exact integer pipeline via
 Smith normal form gives free ranks and torsion: one sparse elimination
 takes the columns in order and pivots each at its entry of least absolute
 value, a +-1 wherever the column has one.  Its size cap bounds the rows
@@ -50,30 +52,18 @@ class BoundaryMatrix:
     n_cols: int
     columns: tuple[tuple[int, ...], ...]
 
-    def gf2_columns(self, skip=frozenset(), drop=frozenset()) -> list[int]:
-        """Bit-packed GF(2) columns, leaving out the column indices in skip.
+    def gf2_columns(self, skip=frozenset(), drop=frozenset()) -> Gf2Columns:
+        """The GF(2) columns left after leaving out the column indices in skip.
 
         The row indices in drop are left out too, and the other rows are
-        renumbered densely in their order, so a column is only as wide as
-        the kept rows up to its highest one.
+        renumbered densely in their order, so a packed column is only as
+        wide as the kept rows up to its highest one.  Nothing is packed
+        here: the view keeps the sparse columns.
         """
         bit = [-1] * self.n_rows
-        kept = 0
-        for row in range(self.n_rows):
-            if row not in drop:
-                bit[row] = kept
-                kept += 1
-        out = []
-        for j, col in enumerate(self.columns):
-            if j in skip:
-                continue
-            v = 0
-            for row in col:
-                i = bit[row]
-                if i >= 0:
-                    v |= 1 << i
-            out.append(v)
-        return out
+        for i, row in enumerate(r for r in range(self.n_rows) if r not in drop):
+            bit[row] = i
+        return Gf2Columns(bit, [col for j, col in enumerate(self.columns) if j not in skip])
 
     def dense_rows(self) -> list[list[int]]:
         out = [[0] * self.n_cols for _ in range(self.n_rows)]
@@ -90,8 +80,8 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> BoundaryMatrix:
             f"p must lie in 1..{k.max_dim_requested}, got {p}")
     row_of = k.index_map(p - 1).__getitem__
     # combinations() omits the last vertex first; reversed, entry t omits vertex t
-    cols = tuple(tuple(map(row_of, combinations(simplex, p)))[::-1]
-                 for simplex in k.simplices(p))
+    cols = tuple([tuple(map(row_of, combinations(simplex, p)))[::-1]
+                  for simplex in k.simplices(p)])
     return BoundaryMatrix(p, len(k.simplices(p - 1)), len(cols), cols)
 
 
@@ -104,32 +94,100 @@ def _operator(k, p):
     return _augmentation_matrix(k) if p == 0 else boundary_matrix(k, p)
 
 
-def _gf2_pivots(columns, n_rows=None, positions=None) -> dict[int, int]:
+class Gf2Columns:
+    """Columns of a GF(2) matrix, kept sparse.
+
+    `bit` renumbers the rows: bit[row] is the row's index among the kept
+    rows, or -1 for a row left out.  Each of `columns` is a tuple of row
+    indices, read through `bit`; its kept rows are its nonzero entries.
+    Iterating packs each column into an integer, bit i for kept row i.
+    """
+
+    __slots__ = ("bit", "columns")
+
+    def __init__(self, bit, columns):
+        self.bit = bit
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns)
+
+    def __iter__(self):
+        return map(self.pack, self.columns)
+
+    def pack(self, col) -> int:
+        v = 0
+        for i in map(self.bit.__getitem__, col):
+            if i >= 0:
+                v |= 1 << i
+        return v
+
+
+def _gf2_reduce(cur, pivots, bit) -> int:
+    """A packed column reduced until its leading row is no pivot's; 0 if
+    it reduces to zero.  A sparse pivot is XORed in bit by bit."""
+    while cur:
+        pivot = pivots.get(cur.bit_length() - 1)
+        if pivot is None:
+            break
+        if type(pivot) is int:
+            cur ^= pivot
+        else:
+            for i in map(bit.__getitem__, pivot):
+                if i >= 0:
+                    cur ^= 1 << i
+    return cur
+
+
+def _gf2_pivots(columns, n_rows=None, positions=None) -> dict:
     """Column echelon form over GF(2): reduced columns keyed by leading row.
 
-    A column becomes a pivot when it is independent of the columns before
-    it; its position in `columns` is appended to `positions` if that is a
-    list.  With n_rows given, the reduction stops at n_rows pivots: the
-    rank cannot exceed the number of rows, so no later column adds one.
+    `columns` is a Gf2Columns view or an iterable of packed columns.  A
+    sparse column whose leading row is not yet a pivot becomes a pivot as
+    it is, never packed.  Any other column is packed, reduced against the
+    pivots, and kept packed if anything is left.  If positions is a list,
+    the columns are taken in order, so a column becomes a pivot exactly
+    when it is independent of the columns before it, and its position is
+    appended.  Without positions only the rank is asked for: the sparse
+    columns that collide are reduced after all the others, when the
+    pivots they could be met by are all in place.  With n_rows given, the
+    reduction stops at n_rows pivots: the rank cannot exceed the number of
+    rows, so no later column adds one.
     """
+    bit = pack = None
+    if isinstance(columns, Gf2Columns):
+        bit, pack, columns = columns.bit, columns.pack, columns.columns
     pivots = {}
+    collided = []
     for j, cur in enumerate(columns):
-        while cur:
+        if type(cur) is int:
+            cur = _gf2_reduce(cur, pivots, bit)
             lead = cur.bit_length() - 1
-            if lead not in pivots:
-                break
-            cur ^= pivots[lead]
-        if cur:
+        else:
+            lead = max(map(bit.__getitem__, cur), default=-1)
+            if lead in pivots:
+                if positions is None:
+                    collided.append(cur)
+                    continue
+                cur = _gf2_reduce(pack(cur), pivots, bit)
+                lead = cur.bit_length() - 1
+        if lead >= 0:
             pivots[lead] = cur
             if positions is not None:
                 positions.append(j)
+            if len(pivots) == n_rows:
+                return pivots
+    for cur in collided:
+        cur = _gf2_reduce(pack(cur), pivots, bit)
+        if cur:
+            pivots[cur.bit_length() - 1] = cur
             if len(pivots) == n_rows:
                 break
     return pivots
 
 
 def gf2_rank(columns, n_rows=None, positions=None) -> int:
-    """Rank of a GF(2) matrix given as bit-packed columns.
+    """Rank of a GF(2) matrix given as a Gf2Columns view or as packed columns.
 
     n_rows, if given, bounds the rank and ends the elimination once it is
     reached.  If positions is a list, the positions of the columns that
@@ -182,43 +240,46 @@ def _reduced_betti(k, ranks) -> tuple[int, ...]:
 def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     """Reduced GF(2) Betti numbers beta~_0..beta~_up_to.
 
-    Degrees run in order, and d_{p+1} is built before d_p is packed.  Two
-    reductions keep every rank while shrinking the packed matrices.
+    Degrees run in order, and d_{p+1} is built before d_p is reduced.  Two
+    reductions keep every rank while shrinking the matrices.
 
-    Clearing.  For a (p+1)-simplex with largest facet s, dd = 0 makes column
-    s of d_p the sum of its other facets' columns, all with smaller indices;
-    dropping every such s from the largest down never changes the rank, so
-    only the rest of d_p is packed.  The top degree up_to + 1 has no
-    cofaces built and keeps all its columns.
+    Clearing.  For a (p+1)-simplex whose lexicographically largest facet is
+    s (the facet that omits its lowest vertex, entry 0 of its column), dd = 0
+    makes column s of d_p the sum of its other facets' columns, all
+    lexicographically smaller; dropping every such s from the largest down
+    never changes the rank, so only the rest of d_p is reduced.  The order
+    is that of the simplices, not of their indices, so it holds in any
+    simplex order.  The top degree up_to + 1 has no cofaces built and keeps
+    all its columns.
 
     Compression.  Let N_p be the columns of d_p that became pivots in its
-    elimination, and let P drop the rows indexed by N_p.  d_{p+1} is packed
+    elimination, and let P drop the rows indexed by N_p.  d_{p+1} is reduced
     as P d_{p+1}, its other rows renumbered densely.  N_p is a set of
     linearly independent columns of d_p (they are independent after d_p's
     own rows were dropped, hence before), so a vector of ker d_p supported
     inside N_p is a dependency among them and is 0: P is injective on
     ker d_p.  That subspace contains im d_{p+1}, so rank P d_{p+1} =
     rank d_{p+1}.  Clearing still holds on the projected matrix, since the
-    relation that makes a column the sum of earlier ones survives P.  The
+    relation that makes a column the sum of smaller ones survives P.  The
     rows left number f_p - rank d_p = dim ker d_p, which bounds
     rank d_{p+1}: the elimination stops once it has that many pivots, the
-    case beta~_p = 0.
+    case beta~_p = 0.  The top degree needs no N_p, so it asks for the rank
+    alone and its colliding columns wait until every other column is in.
     """
     _check_truncation(k, up_to)
     ranks = []
     bm = _operator(k, 0)
     drop = frozenset()  # N_{p-1}, the rows of d_p that P leaves out
-    for p in range(up_to + 2):
-        nxt = boundary_matrix(k, p + 1) if p <= up_to else None
-        cleared = frozenset() if nxt is None else {max(col) for col in nxt.columns}
-        cols = bm.gf2_columns(cleared, drop)
-        n_rows, n_cols = bm.n_rows - len(drop), bm.n_cols
-        bm = nxt  # frees d_p's sparse columns before the elimination
+    for p in range(up_to + 1):
+        nxt = boundary_matrix(k, p + 1)
+        cleared = {col[0] for col in nxt.columns}
+        kept = [j for j in range(bm.n_cols) if j not in cleared]
         positions = []
-        ranks.append(gf2_rank(cols, n_rows, positions))
-        del cols  # and its packing before the next degree is packed
-        kept = [j for j in range(n_cols) if j not in cleared]
+        ranks.append(gf2_rank(bm.gf2_columns(cleared, drop), bm.n_rows - len(drop), positions))
         drop = {kept[i] for i in positions}
+        bm = nxt
+    # the top degree has no cofaces built: every column, and only the rank
+    ranks.append(gf2_rank(bm.gf2_columns(drop=drop), bm.n_rows - len(drop)))
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 
@@ -376,23 +437,22 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
         raise ValueError("p must be >= 0")
     _check_truncation(k, p)
     index = k.index_map(p)
-    vec = 0
+    odd = set()  # the p-simplices the chain holds an odd number of times
     for simplex in chain:
         s = tuple(simplex)
         if s not in index:
             raise ValueError(f"{s} is not a p-simplex of the complex")
-        vec ^= 1 << index[s]
-    bd_cols = _operator(k, p).gf2_columns()
-    bd = 0
-    rest = vec
-    while rest:
-        low = rest & -rest
-        bd ^= bd_cols[low.bit_length() - 1]
-        rest ^= low
-    if bd:
+        odd ^= {index[s]}
+    bd = _operator(k, p).columns
+    rows = set()  # the rows of d_p the chain meets an odd number of times
+    for j in odd:
+        rows.symmetric_difference_update(bd[j])
+    if rows:
         raise ValueError("the chain is not a cycle")
-    # vec bounds iff the pivots of d_{p+1} reduce it to zero
-    pivots = _gf2_pivots(boundary_matrix(k, p + 1).gf2_columns())
-    while vec and (lead := vec.bit_length() - 1) in pivots:
-        vec ^= pivots[lead]
-    return not vec
+    # the chain bounds iff, put after the columns of d_{p+1}, it is no pivot
+    d = boundary_matrix(k, p + 1)
+    cols = d.gf2_columns()
+    cols.columns.append(tuple(odd))
+    positions = []
+    _gf2_pivots(cols, d.n_rows, positions)
+    return d.n_cols not in positions

@@ -371,12 +371,14 @@ def vertex_transitive(rows, expired=None) -> bool:
     return True
 
 
-def read_dimacs(text: str) -> Graph:
+def read_dimacs(text: str, build=None) -> Graph:
     """Parse DIMACS edge format: optional 'c' comments, one 'p edge M E'
     header, then 'e u v' lines with 1-indexed endpoints.
 
     M above 2^MATERIALIZE_CEILING raises DimensionTooLarge at the problem
-    line, before anything is sized by it."""
+    line, before anything is sized by it.  Once the whole file is checked,
+    build(M, edges) makes the result from the 0-indexed edge set;
+    Graph.from_edges when build is None."""
     m = None
     declared_edges = None
     edges = set()
@@ -421,7 +423,7 @@ def read_dimacs(text: str) -> Graph:
     if len(edges) != declared_edges:
         raise InconsistentHeader(
             f"header declares {declared_edges} edges, body has {len(edges)}")
-    return Graph.from_edges(m, edges)
+    return (build or Graph.from_edges)(m, edges)
 
 
 def write_dimacs(g: Graph) -> str:

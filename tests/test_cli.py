@@ -705,3 +705,25 @@ class TestResourceContract:
         code, env, _ = run_limited("gamma-t", "--dimacs", str(path))
         assert code == 4
         assert env["status"]["code"] == "dimension_too_large"
+
+    def test_dimacs_header_with_too_few_edges_builds_no_graph(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # 2 * E < M proves an isolated vertex before any row is sized by M
+        path = tmp_path / "sparse.dimacs"
+        path.write_text("p edge 10000000 0\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+        monkeypatch.setattr(cli.hypercube.Graph, "from_edges", refuse)
+        monkeypatch.setattr(cli.hypercube.Graph, "__init__", refuse)
+        code, env = run_json(capsys, "gamma-t", "--dimacs", str(path))
+        assert code == 2
+        assert env["status"] == {
+            "code": "isolated_vertex",
+            "message": "total domination is undefined on graphs with isolated vertices"}
+
+    def test_gf2_homology_of_q6_r3_through_degree_7(self):
+        # the packed d_6 alone took 955 MiB when every column was packed
+        code, env, _ = run_limited("homology", "--n", "6", "--r", "3", "--up-to", "7")
+        assert code == 0, env["status"]
+        assert env["result"]["reduced_betti"] == [0, 0, 0, 0, 11, 0, 0, 60]
