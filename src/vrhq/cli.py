@@ -2,7 +2,8 @@
 
 Every subcommand prints one output envelope (see render.py) and exits 0 for
 mathematical results, including negative ones such as an empty
-counterexample list or a failed witness check.  Exit 2 flags bad usage or
+counterexample list or a failed witness check.  Exit 1 flags a result
+that failed the check made before it is printed, a bug; exit 2 bad usage or
 violated preconditions, exit 3 ingestion/parse failures, exit 4 resource
 caps.  A command line that argparse rejects prints no envelope, only its
 usage message on stderr.  Caps are configurable, flags taking precedence
@@ -20,10 +21,11 @@ import time
 from . import __version__, bounds, complexes, domination, homology, hypercube
 from .errors import (DegenerateScale, DimensionOutOfRange, DimensionTooLarge,
                      DuplicateVertex, IsolatedVertex, OddCount, ParseError,
-                     TooLarge, TruncationTooShallow)
+                     SelfCheckFailed, TooLarge, TruncationTooShallow)
 from .render import FORMATS, encode, make_envelope
 
 EXIT_OK = 0
+EXIT_SELF_CHECK = 1
 EXIT_USAGE = 2
 EXIT_INGEST = 3
 EXIT_CAP = 4
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         status = _status(exc, args.command)
         code = EXIT_USAGE
+    except SelfCheckFailed as exc:
+        status = _status(exc, args.command)
+        code = EXIT_SELF_CHECK
 
     envelope = make_envelope(args.command, _params_of(args), result,
                              __version__, started,

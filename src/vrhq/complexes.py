@@ -1,4 +1,4 @@
-"""Clique, Vietoris-Rips and independence complexes, plus witness checking.
+"""Clique and Vietoris-Rips complexes, plus witness checking.
 
 Complexes are truncated at a caller-supplied maximum dimension: homology up
 to degree d only needs simplices up to d + 1, and flag complexes of
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
                      TooLarge)
-from .hypercube import (MATERIALIZE_CEILING, Graph, build_hamming_graph,
+from .hypercube import (MATERIALIZE_CEILING, build_hamming_graph,
                         hamming_distance, validate_pair)
 
 DEFAULT_MAX_SIMPLICES = 10 ** 8
@@ -112,20 +112,13 @@ def vietoris_rips(n: int, r: int, max_dim: int,
                   max_simplices: int | None = None) -> SimplicialComplex:
     """Simplices of dimension <= max_dim on Q_n with pairwise distance <= r.
 
-    This is the clique complex of the distance-<=r graph; enumeration is by
+    This is the clique complex of the distance-<=r graph, so the
+    independence complex of its complement Gc_{n,r}; enumeration is by
     ordered clique extension.  Raises TooLarge past the simplex cap.
     """
     g = build_hamming_graph(n, r, complemented=False)
     by_dim = _clique_complex(g.rows(), g.m, max_dim, max_simplices)
     return SimplicialComplex(g.m, max_dim, by_dim)
-
-
-def independence_complex(g: Graph, max_dim: int,
-                         max_simplices: int | None = None) -> SimplicialComplex:
-    """Clique complex of the complement of g; faces are independent sets of g."""
-    comp = g.complement()
-    by_dim = _clique_complex(comp.rows(), comp.m, max_dim, max_simplices)
-    return SimplicialComplex(comp.m, max_dim, by_dim)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .bitops import dense_bits, iter_bits, mask_of
-from .errors import IsolatedVertex, TooLarge
+from .errors import IsolatedVertex, SelfCheckFailed, TooLarge
 from .hypercube import Graph, cube_dimension, vertex_transitive
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
@@ -86,10 +86,11 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
     popped vertex whose fresh coverage still beats the heap's top is the
     vertex an eager scan would pick.
 
-    `deadline` is a `time.monotonic()` value, checked every
-    CHECK_BITS // m heap pops.  Once it has passed, each vertex still
-    undominated adds its lowest neighbour, which completes a valid set in
-    one pass over the vertices.
+    `deadline` is a `time.monotonic()` value, checked once per
+    CHECK_BITS // m steps, a step being a row counted into the heap or a
+    heap pop.  Once it has passed, each vertex still undominated adds its
+    lowest neighbour, which completes a valid set in one pass over the
+    vertices.
     """
     _require_no_isolated(g)
     rows = g.rows()
@@ -97,11 +98,16 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
     full = (1 << m) - 1
     chosen = 0
     dominated = 0
-    # key (m - coverage) * m + v: most coverage first, then lowest index;
-    # one int per vertex rather than a tuple keeps the heap small
-    heap = [(m - row.bit_count()) * m + v for v, row in enumerate(rows)]
-    heapq.heapify(heap)
     expired = _Expiry(deadline, m)
+    # key (m - coverage) * m + v: most coverage first, then lowest index;
+    # one int per vertex rather than a tuple keeps the heap small.  A build
+    # cut short leaves `expired` true, so the loop completes the empty set.
+    heap = []
+    for v, row in enumerate(rows):
+        if expired():
+            break
+        heap.append((m - row.bit_count()) * m + v)
+    heapq.heapify(heap)
     while dominated != full:
         if expired():
             return frozenset(dense_bits(chosen)).union(
@@ -119,7 +125,8 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
 @dataclass(frozen=True)
 class DominationResult:
     """Outcome of the exact solver: proven bounds lower <= gamma_t <= upper
-    and a valid total dominating set of size `upper`.
+    and a total dominating set of size `upper`, which `exact_gamma_t`
+    checks with `is_total_dominating` before it returns.
 
     The bounds are the only record of how far the solve got: `status` is
     "exact" and `exact` is the value when they meet, whether or not the
@@ -417,6 +424,10 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     of one that finished or the trivial bound ceil(m_i / Delta_i); the
     result is exact when they meet.  A split cut short leaves the unsplit
     rest as one part.
+
+    The witness is certified before it is returned: it must hold `upper`
+    vertices and pass `is_total_dominating` on g.  One that fails is a
+    solver bug and raises SelfCheckFailed.
     """
     _require_no_isolated(g)
     start = time.monotonic()
@@ -436,6 +447,9 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
         upper += size
         nodes += part_nodes
         witness.update(verts[i] for i in dense_bits(mask))
+    if len(witness) != upper or not is_total_dominating(g, witness):
+        raise SelfCheckFailed(f"solver bug: the witness ({len(witness)} vertices) is "
+                              f"not a total dominating set of size {upper}")
     return DominationResult(lower=lower, upper=upper, witness=frozenset(witness),
                             nodes=nodes, elapsed_s=time.monotonic() - start)
 

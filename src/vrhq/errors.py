@@ -49,3 +49,7 @@ class DimensionOutOfRange(VrhqError):
 
 class TruncationTooShallow(VrhqError):
     """The complex was not built deep enough for the requested homology degree."""
+
+
+class SelfCheckFailed(VrhqError):
+    """A result failed the check made before it is returned: a bug, not bad input."""

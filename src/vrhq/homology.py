@@ -142,35 +142,29 @@ def _gf2_reduce(cur, pivots, bit) -> int:
 def _gf2_pivots(columns, n_rows=None, positions=None) -> dict:
     """Column echelon form over GF(2): reduced columns keyed by leading row.
 
-    `columns` is a Gf2Columns view or an iterable of packed columns.  A
-    sparse column whose leading row is not yet a pivot becomes a pivot as
-    it is, never packed.  Any other column is packed, reduced against the
-    pivots, and kept packed if anything is left.  If positions is a list,
-    the columns are taken in order, so a column becomes a pivot exactly
-    when it is independent of the columns before it, and its position is
-    appended.  Without positions only the rank is asked for: the sparse
-    columns that collide are reduced after all the others, when the
-    pivots they could be met by are all in place.  With n_rows given, the
-    reduction stops at n_rows pivots: the rank cannot exceed the number of
-    rows, so no later column adds one.
+    `columns` is a Gf2Columns view.  A sparse column whose leading row is
+    not yet a pivot becomes a pivot as it is, never packed.  Any other
+    column is packed, reduced against the pivots, and kept packed if
+    anything is left.  If positions is a list, the columns are taken in
+    order, so a column becomes a pivot exactly when it is independent of
+    the columns before it, and its position is appended.  Without
+    positions only the rank is asked for: the sparse columns that collide
+    are reduced after all the others, when the pivots they could be met by
+    are all in place.  With n_rows given, the reduction stops at n_rows
+    pivots: the rank cannot exceed the number of rows, so no later column
+    adds one.
     """
-    bit = pack = None
-    if isinstance(columns, Gf2Columns):
-        bit, pack, columns = columns.bit, columns.pack, columns.columns
+    bit, pack = columns.bit, columns.pack
     pivots = {}
     collided = []
-    for j, cur in enumerate(columns):
-        if type(cur) is int:
-            cur = _gf2_reduce(cur, pivots, bit)
+    for j, cur in enumerate(columns.columns):
+        lead = max(map(bit.__getitem__, cur), default=-1)
+        if lead in pivots:
+            if positions is None:
+                collided.append(cur)
+                continue
+            cur = _gf2_reduce(pack(cur), pivots, bit)
             lead = cur.bit_length() - 1
-        else:
-            lead = max(map(bit.__getitem__, cur), default=-1)
-            if lead in pivots:
-                if positions is None:
-                    collided.append(cur)
-                    continue
-                cur = _gf2_reduce(pack(cur), pivots, bit)
-                lead = cur.bit_length() - 1
         if lead >= 0:
             pivots[lead] = cur
             if positions is not None:
@@ -187,7 +181,7 @@ def _gf2_pivots(columns, n_rows=None, positions=None) -> dict:
 
 
 def gf2_rank(columns, n_rows=None, positions=None) -> int:
-    """Rank of a GF(2) matrix given as a Gf2Columns view or as packed columns.
+    """Rank of a GF(2) matrix given as a Gf2Columns view.
 
     n_rows, if given, bounds the rank and ends the elimination once it is
     reached.  If positions is a list, the positions of the columns that

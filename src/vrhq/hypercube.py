@@ -39,13 +39,6 @@ def hamming_distance(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-def antipode(v: int, n: int) -> int:
-    """Bitwise complement of v within n bits; at Hamming distance n from v."""
-    if not 0 <= v < (1 << n):
-        raise ValueError(f"label {v} out of range for dimension {n}")
-    return v ^ ((1 << n) - 1)
-
-
 class Graph:
     """Immutable simple graph on vertices 0..m-1 with bitset adjacency rows."""
 
@@ -87,34 +80,14 @@ class Graph:
     def rows(self) -> list[int]:
         return list(self._rows)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._rows[u] >> v) & 1)
-
-    def neighbors(self, v: int):
-        return iter_bits(self._rows[v])
-
-    def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
-
-    def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self._rows]
-
     @property
     def max_degree(self) -> int:
         if self._max_degree is None:
             self._max_degree = max((row.bit_count() for row in self._rows), default=0)
         return self._max_degree
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self._rows) // 2
-
     def has_isolated_vertex(self) -> bool:
         return any(row == 0 for row in self._rows)
-
-    def complement(self) -> "Graph":
-        full = (1 << self.m) - 1
-        rows = [full & ~row & ~(1 << v) for v, row in enumerate(self._rows)]
-        return Graph(rows, validate=False)
 
 
 def _halfspace_patterns(n: int) -> list[int]:
@@ -424,13 +397,3 @@ def read_dimacs(text: str, build=None) -> Graph:
         raise InconsistentHeader(
             f"header declares {declared_edges} edges, body has {len(edges)}")
     return (build or Graph.from_edges)(m, edges)
-
-
-def write_dimacs(g: Graph) -> str:
-    """Canonical DIMACS text: header, then edges sorted with u < v, 1-indexed."""
-    lines = [f"p edge {g.m} {g.edge_count()}"]
-    for u in range(g.m):
-        row = g.row(u) >> (u + 1) << (u + 1)
-        for v in iter_bits(row):
-            lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the library's production code paths:
-binomials come from a Pascal triangle, complexes from raw subset enumeration,
+binomials come from a Pascal triangle, complexes from raw subset enumeration
+(VR complexes by diameter, independence complexes by non-adjacency),
 GF(2) ranks from dense numpy elimination, integer invariant factors from gcds
 of Bareiss minors, and the connectivity bound from fractions.Fraction.  Oracle results are frozen into the tests; the oracles
 stay around so the freezing can be audited and re-run.  The domination
@@ -10,7 +11,8 @@ that faster rewrites can be required to return the same answer in no more
 nodes; gamma_t is also solved as an integer program by scipy's HiGHS.
 Vertex-transitivity is decided by networkx's VF2++ isomorphism test.
 `tight_example_graph` is a fixture: a gadget family on which the trivial
-bound ceil(m / max_degree) is exact.
+bound ceil(m / max_degree) is exact; `dimacs_text` writes a graph as DIMACS
+input.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ def brute_rips_by_dim(n: int, r: int, max_dim: int) -> list[list[tuple[int, ...]
         bucket = []
         for combo in itertools.combinations(labels, size):
             if all((a ^ b).bit_count() <= r for a, b in itertools.combinations(combo, 2)):
+                bucket.append(combo)
+        by_dim.append(bucket)
+    return by_dim
+
+
+def brute_independent_sets(rows, max_dim: int) -> list[list[tuple[int, ...]]]:
+    """All independent sets of the graph with adjacency bitsets `rows`, up to
+    size max_dim + 1, by enumeration: its independence complex by dimension."""
+    labels = range(len(rows))
+    by_dim = []
+    for size in range(1, max_dim + 2):
+        bucket = []
+        for combo in itertools.combinations(labels, size):
+            if not any(rows[a] >> b & 1 for a, b in itertools.combinations(combo, 2)):
                 bucket.append(combo)
         by_dim.append(bucket)
     return by_dim
@@ -198,6 +214,13 @@ def tight_example_graph(delta: int, pairs: int) -> Graph:
         for leaf in range(base + delta + 1, base + comp):
             edges.append((b, leaf))
     return Graph.from_edges(pairs * comp, edges)
+
+
+def dimacs_text(g: Graph) -> str:
+    """DIMACS text of g: the header, then each edge once as 'e u v' with
+    u < v, 1-indexed, in ascending order."""
+    edges = [(u, v) for u in range(g.m) for v in range(u + 1, g.m) if g.row(u) >> v & 1]
+    return "".join([f"p edge {g.m} {len(edges)}\n"] + [f"e {u + 1} {v + 1}\n" for u, v in edges])
 
 
 def random_isolated_free_graphs(count: int, max_m: int, seed: int):

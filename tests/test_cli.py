@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from vrhq import bounds, cli, render
+from vrhq import bounds, cli, domination, render
 from vrhq.complexes import format_complex, vietoris_rips
 
 
@@ -170,6 +170,14 @@ class TestGammaT:
         assert res["exact"] == 8 and res["status"] == "exact"
         assert "bounds_only" not in res and "time_limit_hit" not in res
         assert res["graph"]["kind"] == "hamming_complement"
+
+    def test_self_check_failure_prints_no_result(self, capsys, monkeypatch):
+        # a witness that does not dominate is a bug: exit 1, never a result
+        monkeypatch.setattr(domination, "_search", lambda part, deadline: (4, 4, 0b1111, 1))
+        code, env = run_json(capsys, "gamma-t", "--n", "4", "--r", "2")
+        assert code == cli.EXIT_SELF_CHECK == 1
+        validate_envelope(env)
+        assert env["status"]["code"] == "self_check_failed" and env["result"] is None
 
     def test_exhaustive_mode(self, capsys):
         code, env = run_json(capsys, "gamma-t", "--n", "3", "--r", "2", "--exhaustive")

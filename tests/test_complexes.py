@@ -10,7 +10,7 @@ from vrhq import complexes as cx, hypercube as hc
 from vrhq.errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
                          TooLarge)
 
-from tests.oracles import brute_pattern_sets, brute_rips_by_dim
+from tests.oracles import brute_independent_sets, brute_pattern_sets, brute_rips_by_dim
 
 
 def check_closure(k):
@@ -100,26 +100,34 @@ class TestVietorisRips:
             cx.SimplicialComplex(2, 0, [[(0,), (1,)], [(0, 1)]])
 
 
+def independence_f_vector(g, max_dim):
+    return tuple(map(len, brute_independent_sets(g.rows(), max_dim)))
+
+
 class TestIndependenceComplex:
+    # VR(Q_n; r) = Ind(Gc_{n,r}): the clique build against independent sets
+    # enumerated in the complement graph
     def test_identity_with_rips(self):
         for n in range(1, 5):
             for r in range(0, n):
                 gc = hc.build_hamming_graph(n, r, complemented=True)
-                assert cx.independence_complex(gc, 4) == cx.vietoris_rips(n, r, 4)
+                ind = cx.SimplicialComplex(gc.m, 4, brute_independent_sets(gc.rows(), 4))
+                assert ind == cx.vietoris_rips(n, r, 4)
 
     def test_perfect_matching_gives_cross_polytope(self):
         g = hc.build_hamming_graph(3, 2, complemented=True)
-        k = cx.independence_complex(g, 3)
-        assert k.f_vector() == (8, 24, 32, 16)
+        assert independence_f_vector(g, 3) == (8, 24, 32, 16)
+        assert cx.vietoris_rips(3, 2, 3).f_vector() == (8, 24, 32, 16)
 
     def test_complete_graph_gives_points(self):
         g = hc.Graph.from_edges(5, itertools.combinations(range(5), 2))
-        assert cx.independence_complex(g, 2).f_vector() == (5, 0, 0)
+        assert independence_f_vector(g, 2) == (5, 0, 0)
+        assert cx.vietoris_rips(2, 0, 2).f_vector() == (4, 0, 0)  # Gc(2,0) = K_4
 
     def test_empty_graph_gives_full_simplex(self):
         g = hc.Graph.from_edges(4, [])
-        k = cx.independence_complex(g, 3)
-        assert k.f_vector() == (4, 6, 4, 1)
+        assert independence_f_vector(g, 3) == (4, 6, 4, 1)
+        assert cx.vietoris_rips(2, 2, 3).f_vector() == (4, 6, 4, 1)  # Gc(2,2) has no edge
 
 
 class TestFVectorEuler:
@@ -238,7 +246,7 @@ class TestFundamentalCycle:
             cx.fundamental_cycle([(0, 1), (1, 2)])
 
     def test_count(self):
-        pairs = [(v, hc.antipode(v, 3)) for v in range(4)]
+        pairs = [(v, v ^ 0b111) for v in range(4)]
         assert len(cx.fundamental_cycle(pairs)) == 16
 
 

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrhq import bounds, domination as dom, hypercube as hc
-from vrhq.errors import IsolatedVertex, TooLarge
+from vrhq.bitops import iter_bits
+from vrhq.errors import IsolatedVertex, SelfCheckFailed, TooLarge
 
-from tests.oracles import (eager_greedy, is_vertex_transitive, milp_gamma_t,
-                          random_isolated_free_graphs, reference_gamma_t,
-                          tight_example_graph)
+from tests.oracles import (dimacs_text, eager_greedy, is_vertex_transitive,
+                          milp_gamma_t, random_isolated_free_graphs,
+                          reference_gamma_t, tight_example_graph)
 
 
 def figure_graph():
@@ -29,7 +30,7 @@ def relabelled(g, seed):
     perm = list(range(g.m))
     random.Random(seed).shuffle(perm)
     return hc.Graph.from_edges(g.m, [(perm[u], perm[v]) for u in range(g.m)
-                                     for v in g.neighbors(u) if u < v])
+                                     for v in iter_bits(g.row(u)) if u < v])
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def is_connected(g):
     import networkx as nx
     h = nx.Graph()
     h.add_nodes_from(range(g.m))
-    h.add_edges_from((u, v) for u in range(g.m) for v in g.neighbors(u))
+    h.add_edges_from((u, v) for u in range(g.m) for v in iter_bits(g.row(u)))
     return nx.is_connected(h)
 
 
@@ -345,7 +346,7 @@ class TestExactGammaT:
         assert len(graphs) == 179 + 44 and verdicts.count(True) == 12
 
     def test_dimacs_copy_in_natural_labelling_keeps_the_symmetry(self, gc64, gc64_exact):
-        res = dom.exact_gamma_t(hc.read_dimacs(hc.write_dimacs(gc64)))
+        res = dom.exact_gamma_t(hc.read_dimacs(dimacs_text(gc64)))
         assert (res.exact, res.witness, res.nodes) == \
             (gc64_exact.exact, gc64_exact.witness, 2782)
 
@@ -363,6 +364,21 @@ class TestExactGammaT:
         assert dom.is_total_dominating(g, res.witness)
         with pytest.raises(ValueError):
             dom.DominationResult(lower=3, upper=2, witness=frozenset())
+
+    def test_planted_witness_fails_the_self_check(self, monkeypatch):
+        g = hc.build_hamming_graph(4, 2, complemented=True)
+        search = dom._search
+        # {0, 1, 2, 3} lies within distance 2 of vertex 0, which it leaves undominated
+        monkeypatch.setattr(dom, "_search", lambda part, deadline: (4, 4, 0b1111, 1))
+        with pytest.raises(SelfCheckFailed):
+            dom.exact_gamma_t(g)
+
+        def shrunk(part, deadline):  # a valid set, reported one smaller
+            lower, size, mask, nodes = search(part, deadline)
+            return lower - 1, size - 1, mask, nodes
+        monkeypatch.setattr(dom, "_search", shrunk)
+        with pytest.raises(SelfCheckFailed):
+            dom.exact_gamma_t(g)
 
     def test_gc64_value_regression(self, gc64, gc64_exact):
         # frozen output of this solver on the 64-vertex scale-4 complement;
@@ -532,7 +548,7 @@ class TestDeadline:
         full = dom.greedy_upper_bound(g)
         rows = g.rows()
         lowest = frozenset((row & -row).bit_length() - 1 for row in rows)
-        for cut in range(40):
+        for cut in range(g.m + 40):  # the heap build, then the heap pops
             clock.now = 0
             got = dom.greedy_upper_bound(g, deadline=cut + 0.5)
             assert dom.is_total_dominating(g, got), cut
@@ -542,6 +558,17 @@ class TestDeadline:
                 assert got == full
         clock.now = 0
         assert dom.greedy_upper_bound(g, deadline=0.5) == lowest
+
+    def test_cut_heap_build_still_dominates(self, clock):
+        # one reading per row counted into the heap: a deadline that passes
+        # there leaves nothing chosen, so every vertex adds its lowest neighbour
+        g = hc.build_hamming_graph(6, 4, complemented=True)
+        lowest = frozenset((row & -row).bit_length() - 1 for row in g.rows())
+        for cut in range(g.m):
+            clock.now = 0
+            got = dom.greedy_upper_bound(g, deadline=cut + 0.5)
+            assert got == lowest and clock.now == cut + 1, cut
+            assert dom.is_total_dominating(g, got)
 
     def test_cut_components_partition_the_vertices(self, clock):
         g = disjoint_union(four_cycle(), hc.build_hamming_graph(3, 2, complemented=True),
@@ -683,7 +710,7 @@ class TestDeadline:
 class TestTightExamples:
     def test_delta_2_is_path_on_4(self):
         g = tight_example_graph(2, 1)
-        assert g.m == 4 and sorted(g.degrees()) == [1, 1, 2, 2]
+        assert g.m == 4 and sorted(row.bit_count() for row in g.rows()) == [1, 1, 2, 2]
         assert dom.gamma_t_exhaustive(g) == 2
 
     def test_small_family_exact(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from vrhq import bitops, bounds, hypercube as hc
 from vrhq.errors import DimensionTooLarge, InconsistentHeader, ParseError
 
-from tests.oracles import is_vertex_transitive
+from tests.oracles import dimacs_text, is_vertex_transitive
 from tests.test_domination import relabelled
 
 labels64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -52,46 +52,25 @@ class TestHammingDistance:
             hc.hamming_distance(-1, 0)
 
 
-class TestAntipode:
-    def test_examples(self):
-        assert hc.antipode(0b000, 3) == 0b111
-        assert hc.antipode(0b0101, 4) == 0b1010
-
-    def test_involution_and_distance(self):
-        for n in range(1, 11):
-            for v in range(1 << min(n, 6)):
-                assert hc.antipode(hc.antipode(v, n), n) == v
-                assert hc.hamming_distance(v, hc.antipode(v, n)) == n
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            hc.antipode(8, 3)
-
-
 class TestBuildHammingGraph:
     def test_four_cycle(self):
         g = hc.build_hamming_graph(2, 1)
-        assert g.m == 4 and g.edge_count() == 4
-        assert Counter(g.degrees()) == {2: 4}
-        assert not g.has_edge(0, 3) and not g.has_edge(1, 2)  # antipodes cut
+        assert g.rows() == [0b0110, 0b1001, 0b1001, 0b0110]  # antipodes cut
 
     def test_complement_6_4(self):
         g = hc.build_hamming_graph(6, 4, complemented=True)
-        assert Counter(g.degrees()) == {7: 64}
-        assert g.edge_count() == 64 * 7 // 2
+        assert Counter(row.bit_count() for row in g.rows()) == {7: 64}
 
     def test_complement_3_2_is_antipodal_matching(self):
         g = hc.build_hamming_graph(3, 2, complemented=True)
-        assert Counter(g.degrees()) == {1: 8}
-        for v in range(8):
-            assert list(g.neighbors(v)) == [hc.antipode(v, 3)]
+        assert g.rows() == [1 << (v ^ 0b111) for v in range(8)]
 
     def test_degrees_match_tail_degree(self):
         for n in range(1, 9):
             for r in range(0, n):
                 g = hc.build_hamming_graph(n, r, complemented=True)
                 want = bounds.tail_degree(n, r)
-                assert all(d == want for d in g.degrees())
+                assert all(row.bit_count() == want for row in g.rows())
 
     def test_edge_partition(self):
         # plain and complemented rows partition the complete graph exactly
@@ -127,8 +106,8 @@ class TestBuildHammingGraph:
     def test_xor_translation_is_automorphism(self, mask, u, v):
         g = hc.build_hamming_graph(8, 3)
         gc = hc.build_hamming_graph(8, 3, complemented=True)
-        assert g.has_edge(u, v) == g.has_edge(u ^ mask, v ^ mask)
-        assert gc.has_edge(u, v) == gc.has_edge(u ^ mask, v ^ mask)
+        assert g.row(u) >> v & 1 == g.row(u ^ mask) >> (v ^ mask) & 1
+        assert gc.row(u) >> v & 1 == gc.row(u ^ mask) >> (v ^ mask) & 1
 
     def test_ceiling(self):
         with pytest.raises(DimensionTooLarge):
@@ -249,7 +228,7 @@ class TestVertexTransitive:
 
 class TestGraph:
     def test_degree_profile_examples(self):
-        assert Counter(figure_graph().degrees()) == {2: 1, 1: 2}
+        assert Counter(row.bit_count() for row in figure_graph().rows()) == {2: 1, 1: 2}
 
     def test_from_edges_rejects_loops_and_range(self):
         with pytest.raises(ValueError):
@@ -268,20 +247,9 @@ class TestGraph:
     def test_accessors(self):
         g = figure_graph()
         assert g.max_degree == 2
-        assert sorted(g.neighbors(0)) == [1, 2]
-        assert g.degree(1) == 1
-        assert g.has_edge(0, 2) and not g.has_edge(1, 2)
+        assert [g.row(v) for v in range(3)] == g.rows() == [0b110, 0b001, 0b001]
         assert not g.has_isolated_vertex()
         assert hc.Graph.from_edges(2, []).has_isolated_vertex()
-
-    def test_complement(self):
-        g = figure_graph()
-        gc = g.complement()
-        assert gc.has_edge(1, 2) and not gc.has_edge(0, 1)
-        back = gc.complement()
-        assert back.rows() == g.rows()
-        h = hc.build_hamming_graph(3, 1)
-        assert h.complement().rows() == hc.build_hamming_graph(3, 1, complemented=True).rows()
 
 
 class TestDimacs:
@@ -303,14 +271,11 @@ class TestDimacs:
                      if rng.random() < 0.4]
             corpus.append(hc.Graph.from_edges(m, edges))
         for g in corpus:
-            text = hc.write_dimacs(g)
-            again = hc.read_dimacs(text)
-            assert again.rows() == g.rows()
-            assert hc.write_dimacs(again) == text
+            assert hc.read_dimacs(dimacs_text(g)).rows() == g.rows()
 
     def test_isolated_vertices_preserved_via_header(self):
         g = hc.read_dimacs("p edge 4 1\ne 2 3\n")
-        assert g.m == 4 and g.degree(0) == 0 and g.degree(3) == 0
+        assert g.rows() == [0, 0b100, 0b010, 0]
 
     def test_loop_rejected(self):
         with pytest.raises(ParseError) as exc:
@@ -348,7 +313,3 @@ class TestDimacs:
         # rejected at the problem line, before the body is read or rows sized
         with pytest.raises(DimensionTooLarge, match="line 1: .*2\\^24 = 16777216"):
             hc.read_dimacs(f"p edge {(1 << hc.MATERIALIZE_CEILING) + 1} 0\ne 1 1\n")
-
-    def test_writer_canonical_order(self):
-        g = hc.Graph.from_edges(4, [(3, 1), (2, 0)])
-        assert hc.write_dimacs(g) == "p edge 4 2\ne 1 3\ne 2 4\n"
