@@ -155,8 +155,9 @@ class DominationResult:
         return self.upper if self.lower == self.upper else None
 
 
-def _components(rows, deadline=None) -> list[int]:
-    """Vertex bitsets of the connected components, by bitset BFS over rows.
+def _components(rows, deadline=None) -> list[list[int]]:
+    """Ascending vertex lists of the connected components, by bitset BFS
+    over rows; each list holds the vertices its BFS took off a frontier.
 
     The deadline is checked every CHECK_BITS // m vertices taken off a
     frontier; once it has passed, the vertices not in a finished component
@@ -167,19 +168,23 @@ def _components(rows, deadline=None) -> list[int]:
     while unseen:
         comp = unseen & -unseen
         frontier = comp
+        verts = []
         while frontier:
             reach = 0
             while frontier:
                 if expired():
-                    comps.append(unseen)
+                    comps.append(list(dense_bits(unseen)))
                     return comps
                 low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
+                v = low.bit_length() - 1
+                verts.append(v)
+                reach |= rows[v]
                 frontier ^= low
             frontier = reach & ~comp
             comp |= frontier
         unseen &= ~comp
-        comps.append(comp)
+        verts.sort()
+        comps.append(verts)
     return comps
 
 
@@ -437,8 +442,7 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     if len(comps) == 1:
         parts = [(range(g.m), g)]
     else:
-        parts = [(verts, _induced(rows, verts))
-                 for verts in (list(iter_bits(comp)) for comp in comps)]
+        parts = [(verts, _induced(rows, verts)) for verts in comps]
     lower = upper = nodes = 0
     witness = set()
     for verts, part in parts:

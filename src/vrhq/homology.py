@@ -2,22 +2,21 @@
 
 The default detector works over GF(2): ranks come from Gaussian elimination
 on sparse columns, which is orders of magnitude faster than integer
-reduction.  A column is packed into an integer bitset only when a reduction
-needs it: one whose leading row is new becomes a pivot as it is.  Clear and
-compress (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014) shrink every
-matrix before it is reduced.  Clearing: a column of d_p that is the
+reduction.  A column whose leading row is new becomes a pivot as it is; the
+rest are packed into integer bitsets and reduced once all those are in.
+Clear and compress (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014) shrink
+every matrix before it is reduced.  Clearing: a column of d_p that is the
 lexicographically largest facet of some (p+1)-simplex is dropped, because
 dd = 0 makes it the GF(2) sum of the simplex's other facets, all smaller;
 the top degree has no cofaces built and keeps all its columns.
 Compression: every degree, the top one included, drops the rows that are
 pivot columns of the degree below and numbers the rest densely, so a packed
-column is only as wide as the rows left.  Each elimination stops once it
-has as many pivots as rows.  An exact integer pipeline via
-Smith normal form gives free ranks and torsion: one sparse elimination
-takes the columns in order and pivots each at its entry of least absolute
-value, a +-1 wherever the column has one.  Its size cap bounds the rows
-and columns of each boundary matrix and is checked against the f-vector
-before any matrix is built.
+column is only as wide as the rows left.  Each elimination stops at as many
+pivots as rows.  An exact integer pipeline via Smith normal form gives free
+ranks and torsion: one sparse elimination takes the columns in order and
+pivots each at its entry of least absolute value, a +-1 wherever the column
+has one.  Its size cap bounds the rows and columns of each boundary matrix
+and is checked against the f-vector before any matrix is built.
 
 Reduced homology uses the augmentation map as the dimension-0 boundary, so
 beta~_0 = components - 1 falls out of the same code path as every other
@@ -44,12 +43,10 @@ class BoundaryMatrix:
     Stored sparsely: one tuple of row indices per column, rows indexed by
     the order of the (p-1)-simplices in the complex.  Entry t is the facet
     that omits vertex t of the column's simplex; its sign (-1)^t is implied
-    by the position.  p = 0 encodes the augmentation map onto a single row.
+    by the position.
     """
 
-    p: int
     n_rows: int
-    n_cols: int
     columns: tuple[tuple[int, ...], ...]
 
     def gf2_columns(self, skip=frozenset(), drop=frozenset()) -> Gf2Columns:
@@ -66,7 +63,7 @@ class BoundaryMatrix:
         return Gf2Columns(bit, [col for j, col in enumerate(self.columns) if j not in skip])
 
     def dense_rows(self) -> list[list[int]]:
-        out = [[0] * self.n_cols for _ in range(self.n_rows)]
+        out = [[0] * len(self.columns) for _ in range(self.n_rows)]
         for j, col in enumerate(self.columns):
             for t, row in enumerate(col):
                 out[row][j] = -1 if t & 1 else 1
@@ -82,16 +79,15 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> BoundaryMatrix:
     # combinations() omits the last vertex first; reversed, entry t omits vertex t
     cols = tuple([tuple(map(row_of, combinations(simplex, p)))[::-1]
                   for simplex in k.simplices(p)])
-    return BoundaryMatrix(p, len(k.simplices(p - 1)), len(cols), cols)
-
-
-def _augmentation_matrix(k: SimplicialComplex) -> BoundaryMatrix:
-    f0 = len(k.simplices(0))
-    return BoundaryMatrix(0, 1 if f0 else 0, f0, ((0,),) * f0)
+    return BoundaryMatrix(len(k.simplices(p - 1)), cols)
 
 
 def _operator(k, p):
-    return _augmentation_matrix(k) if p == 0 else boundary_matrix(k, p)
+    """d_p, with d_0 the augmentation map: one row, one column per vertex."""
+    if p:
+        return boundary_matrix(k, p)
+    f0 = len(k.simplices(0))
+    return BoundaryMatrix(1 if f0 else 0, ((0,),) * f0)
 
 
 class Gf2Columns:
@@ -101,6 +97,7 @@ class Gf2Columns:
     rows, or -1 for a row left out.  Each of `columns` is a tuple of row
     indices, read through `bit`; its kept rows are its nonzero entries.
     Iterating packs each column into an integer, bit i for kept row i.
+    The number of kept rows bounds the rank, so an elimination stops there.
     """
 
     __slots__ = ("bit", "columns")
@@ -139,55 +136,52 @@ def _gf2_reduce(cur, pivots, bit) -> int:
     return cur
 
 
-def _gf2_pivots(columns, n_rows=None, positions=None) -> dict:
+def _gf2_pivots(columns, positions=None) -> dict:
     """Column echelon form over GF(2): reduced columns keyed by leading row.
 
-    `columns` is a Gf2Columns view.  A sparse column whose leading row is
-    not yet a pivot becomes a pivot as it is, never packed.  Any other
-    column is packed, reduced against the pivots, and kept packed if
-    anything is left.  If positions is a list, the columns are taken in
-    order, so a column becomes a pivot exactly when it is independent of
-    the columns before it, and its position is appended.  Without
-    positions only the rank is asked for: the sparse columns that collide
-    are reduced after all the others, when the pivots they could be met by
-    are all in place.  With n_rows given, the reduction stops at n_rows
-    pivots: the rank cannot exceed the number of rows, so no later column
-    adds one.
+    `columns` is a Gf2Columns view, taken in one order whatever is asked.
+    A sparse column whose leading row is not yet a pivot becomes a pivot as
+    it is, never packed.  The columns that collide are reduced after all
+    the others, when every pivot they could meet is in: each is packed,
+    reduced, and kept packed if anything is left.  The pivots have distinct
+    leading rows and span the column space.  The elimination stops at as
+    many pivots as kept rows.  If positions is a list, the position of each
+    column that became a pivot is appended in that order: those columns
+    span what the pivots span and are as many, so they are a basis.
     """
-    bit, pack = columns.bit, columns.pack
+    bit, pack, cols = columns.bit, columns.pack, columns.columns
+    full = len(bit) - bit.count(-1)  # the kept rows
     pivots = {}
     collided = []
-    for j, cur in enumerate(columns.columns):
+    for j, cur in enumerate(cols):
         lead = max(map(bit.__getitem__, cur), default=-1)
         if lead in pivots:
-            if positions is None:
-                collided.append(cur)
-                continue
-            cur = _gf2_reduce(pack(cur), pivots, bit)
-            lead = cur.bit_length() - 1
-        if lead >= 0:
+            collided.append(j)
+        elif lead >= 0:
             pivots[lead] = cur
             if positions is not None:
                 positions.append(j)
-            if len(pivots) == n_rows:
+            if len(pivots) == full:
                 return pivots
-    for cur in collided:
-        cur = _gf2_reduce(pack(cur), pivots, bit)
+    for j in collided:
+        cur = _gf2_reduce(pack(cols[j]), pivots, bit)
         if cur:
             pivots[cur.bit_length() - 1] = cur
-            if len(pivots) == n_rows:
+            if positions is not None:
+                positions.append(j)
+            if len(pivots) == full:
                 break
     return pivots
 
 
-def gf2_rank(columns, n_rows=None, positions=None) -> int:
+def gf2_rank(columns, positions=None) -> int:
     """Rank of a GF(2) matrix given as a Gf2Columns view.
 
-    n_rows, if given, bounds the rank and ends the elimination once it is
-    reached.  If positions is a list, the positions of the columns that
-    became pivots, a basis of the column space, are appended to it.
+    If positions is a list, the positions of the columns that became
+    pivots, a basis of the column space, are appended to it in the order
+    `_gf2_pivots` found them.
     """
-    return len(_gf2_pivots(columns, n_rows, positions))
+    return len(_gf2_pivots(columns, positions))
 
 
 @dataclass(frozen=True)
@@ -257,8 +251,7 @@ def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     relation that makes a column the sum of smaller ones survives P.  The
     rows left number f_p - rank d_p = dim ker d_p, which bounds
     rank d_{p+1}: the elimination stops once it has that many pivots, the
-    case beta~_p = 0.  The top degree needs no N_p, so it asks for the rank
-    alone and its colliding columns wait until every other column is in.
+    case beta~_p = 0.  The top degree needs no N_p: it asks for the rank.
     """
     _check_truncation(k, up_to)
     ranks = []
@@ -267,13 +260,13 @@ def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     for p in range(up_to + 1):
         nxt = boundary_matrix(k, p + 1)
         cleared = {col[0] for col in nxt.columns}
-        kept = [j for j in range(bm.n_cols) if j not in cleared]
+        kept = [j for j in range(len(bm.columns)) if j not in cleared]
         positions = []
-        ranks.append(gf2_rank(bm.gf2_columns(cleared, drop), bm.n_rows - len(drop), positions))
+        ranks.append(gf2_rank(bm.gf2_columns(cleared, drop), positions))
         drop = {kept[i] for i in positions}
         bm = nxt
     # the top degree has no cofaces built: every column, and only the rank
-    ranks.append(gf2_rank(bm.gf2_columns(drop=drop), bm.n_rows - len(drop)))
+    ranks.append(gf2_rank(bm.gf2_columns(drop=drop)))
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 
@@ -426,6 +419,8 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
     The chain is an iterable of p-simplices (duplicates cancel); it must be a
     genuine cycle (boundary zero, and even vertex count when p = 0, so that
     it represents a reduced class).  Requires the complex built to p + 1.
+    It bounds iff, packed, it reduces to 0 against the pivots of d_{p+1},
+    which have distinct leading rows and span im d_{p+1}.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -443,10 +438,5 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
         rows.symmetric_difference_update(bd[j])
     if rows:
         raise ValueError("the chain is not a cycle")
-    # the chain bounds iff, put after the columns of d_{p+1}, it is no pivot
-    d = boundary_matrix(k, p + 1)
-    cols = d.gf2_columns()
-    cols.columns.append(tuple(odd))
-    positions = []
-    _gf2_pivots(cols, d.n_rows, positions)
-    return d.n_cols not in positions
+    cols = boundary_matrix(k, p + 1).gf2_columns()
+    return not _gf2_reduce(cols.pack(odd), _gf2_pivots(cols), cols.bit)

@@ -96,17 +96,6 @@ def dense_gf2_rank(mat: np.ndarray) -> int:
     return rank
 
 
-def lex_first_basis(mat: np.ndarray) -> list[int]:
-    """The columns that raise the GF(2) rank of the columns before them."""
-    basis = []
-    for j in range(mat.shape[1]):
-        if len(basis) == mat.shape[0]:
-            break
-        if dense_gf2_rank(mat[:, basis + [j]]) > len(basis):
-            basis.append(j)
-    return basis
-
-
 def dense_boundary(by_dim, p: int) -> np.ndarray:
     """Dense GF(2) boundary matrix from raw by-dimension simplex lists."""
     if p == 0:

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -10,6 +12,8 @@ import pytest
 
 from vrhq import bounds, cli, domination, render
 from vrhq.complexes import format_complex, vietoris_rips
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def _reject_constant(name):
@@ -665,17 +669,22 @@ class TestMalformedInputFuzz:
         assert code in (0, 2, 3, 4)
 
 
+def run_module(*argv, **kwargs):
+    """Run `python -m vrhq ARGV` in a child that imports vrhq from this
+    checkout's src, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "vrhq", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vrhq", "bound", "--n", "7", "--r", "5"],
-            capture_output=True, text=True)
+        proc = run_module("bound", "--n", "7", "--r", "5")
         assert proc.returncode == 0
         assert strict_loads(proc.stdout)["result"]["connectivity"] == 6
 
     def test_version_flag(self):
-        proc = subprocess.run([sys.executable, "-m", "vrhq", "--version"],
-                              capture_output=True, text=True)
+        proc = run_module("--version")
         assert proc.returncode == 0 and proc.stdout.startswith("vrhq ")
 
 
@@ -690,8 +699,7 @@ def run_limited(*argv):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "vrhq", *argv], capture_output=True,
-                          text=True, preexec_fn=cap, timeout=30)
+    proc = run_module(*argv, preexec_fn=cap, timeout=30)
     return proc.returncode, strict_loads(proc.stdout), time.perf_counter() - started
 
 

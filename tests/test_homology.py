@@ -13,7 +13,7 @@ from vrhq.bitops import iter_bits
 from vrhq.errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
 from tests.oracles import (brute_reduced_betti, dense_boundary, dense_gf2_rank,
-                           determinantal_divisors, lex_first_basis)
+                           determinantal_divisors)
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -46,7 +46,7 @@ def sparse_matrices(draw):
     n_rows = draw(st.integers(0, 10))
     rows = st.integers(0, n_rows - 1) if n_rows else st.nothing()
     columns = draw(st.lists(st.lists(rows, unique=True).map(tuple), max_size=14))
-    bm = ho.BoundaryMatrix(1, n_rows, len(columns), tuple(columns))
+    bm = ho.BoundaryMatrix(n_rows, tuple(columns))
     return bm, draw(st.sets(st.integers(0, 13))), draw(st.sets(rows))
 
 
@@ -65,6 +65,38 @@ def shuffled_complexes(draw):
             closure.update(itertools.combinations(sorted(face), size))
     by_dim = [sorted(s for s in closure if len(s) == d + 1) for d in range(max_dim + 1)]
     return [draw(st.permutations(bucket)) for bucket in by_dim]
+
+
+@st.composite
+def cycles_in_shuffled_complexes(draw):
+    """(complex, p-cycle, p): a shuffled complex plus, on p + 3 or p + 4 new
+    vertices, every face of dimension at most p and some of dimension p + 1,
+    though never the one called hollow.  The cycle is the boundary of a
+    random (p+1)-chain plus, or not, the boundary of the hollow simplex.
+    Facets shared by the chain's simplices are listed once per simplex, so
+    duplicates cancel."""
+    p = draw(st.integers(0, 3))
+    by_dim = draw(shuffled_complexes())
+    by_dim += [[] for _ in range(p + 2 - len(by_dim))]
+    m = len(by_dim[0])
+    block = range(m, m + draw(st.integers(p + 3, p + 4)))
+    for d in range(p + 1):
+        by_dim[d] = draw(st.permutations(by_dim[d] + list(itertools.combinations(block, d + 1))))
+    top = list(itertools.combinations(block, p + 2))
+    hollow = draw(st.sampled_from(top))
+    filled = draw(st.lists(st.sampled_from(top).filter(lambda s: s != hollow),
+                           min_size=1, unique=True))
+    by_dim[p + 1] = cofaces = draw(st.permutations(by_dim[p + 1] + filled))
+    picks = draw(st.sets(st.sampled_from(cofaces), min_size=1))
+    if draw(st.booleans()):
+        picks.add(hollow)
+    chain = [s[:t] + s[t + 1:] for s in picks for t in range(p + 2)]
+    if draw(st.booleans()):
+        # the chain's own p-simplices first: its leading row then tends to
+        # lead no column of d_{p+1}, though the chain may still bound
+        odd = {s for s in chain if chain.count(s) % 2}
+        by_dim[p].sort(key=lambda s: s not in odd)
+    return cx.SimplicialComplex(block.stop, len(by_dim) - 1, by_dim), chain, p
 
 
 def adamaszek_adams_beta3(n):
@@ -99,13 +131,13 @@ class TestBoundaryMatrix:
     def test_four_cycle_shape(self):
         k = cx.vietoris_rips(2, 1, 2)
         bm = ho.boundary_matrix(k, 1)
-        assert (bm.n_rows, bm.n_cols) == (4, 4)
+        assert (bm.n_rows, len(bm.columns)) == (4, 4)
         assert all(len(col) == 2 for col in bm.columns)
 
     def test_rips_q3_r2_top(self):
         k = cx.vietoris_rips(3, 2, 3)
         bm = ho.boundary_matrix(k, 3)
-        assert (bm.n_rows, bm.n_cols) == (32, 16)
+        assert (bm.n_rows, len(bm.columns)) == (32, 16)
 
     def test_chain_identity_integer(self):
         # d_p . d_{p+1} = 0 entrywise over the integers
@@ -193,10 +225,12 @@ class TestBettiGf2:
                        for s in (by_dim[p + 1] if p < max_dim else ())}
             kept.append([j for j in range(f[p]) if j not in cleared])
             assert dense_gf2_rank(mats[p][:, kept[p]]) == ranks[p]
-        # compression: dropping from d_{p+1} the rows of a column basis of d_p,
-        # together with its cleared columns, keeps the rank of d_{p+1}
+        # compression: dropping from d_{p+1} the rows of the column basis of
+        # d_p that gf2_rank returns, with its cleared columns, keeps the rank
         for p in range(max_dim):
-            basis = set(lex_first_basis(mats[p]))
+            basis = []
+            assert ho.gf2_rank(ho._operator(k, p).gf2_columns(), basis) == ranks[p]
+            assert dense_gf2_rank(mats[p][:, basis]) == len(basis)
             rows = [i for i in range(f[p]) if i not in basis]
             assert dense_gf2_rank(mats[p + 1][rows][:, kept[p + 1]]) == ranks[p + 1]
 
@@ -218,13 +252,30 @@ class TestBettiGf2:
         st.just(n_rows), st.lists(st.integers(0, (1 << n_rows) - 1), max_size=14))))
     def test_rank_stops_at_full_row_rank(self, matrix):
         n_rows, cols = matrix
-        view = ho.Gf2Columns(list(range(n_rows)), [tuple(iter_bits(c)) for c in cols])
-        positions = []
-        assert ho.gf2_rank(view, n_rows, positions) == ho.gf2_rank(view)
+        bit = list(range(n_rows))
+        view = ho.Gf2Columns(bit, [tuple(iter_bits(c)) for c in cols])
         dense = np.array([[c >> i & 1 for c in cols] for i in range(n_rows)],
                          dtype=np.uint8).reshape(n_rows, len(cols))
-        assert positions == lex_first_basis(dense)
-        assert len(positions) == dense_gf2_rank(dense)
+        positions = []
+        assert ho.gf2_rank(view, positions) == dense_gf2_rank(dense)
+        assert dense_gf2_rank(dense[:, positions]) == len(positions)
+        if n_rows:
+            # the identity, then a failure: once every kept row leads a
+            # pivot, no later column is read
+            def identity_then_fail():
+                yield from [(i,) for i in bit]
+                raise AssertionError("a column after full row rank was read")
+            assert ho.gf2_rank(ho.Gf2Columns(bit, identity_then_fail())) == n_rows
+
+    def test_deferred_columns_stop_at_full_row_rank(self):
+        # every column after the first collides at row 3; reduced in order,
+        # the fourth brings the rank to 4 and the copies after it are unread
+        class Columns(list):
+            def __getitem__(self, j):
+                assert j < 4, f"deferred column {j} read after full row rank"
+                return super().__getitem__(j)
+        cols = Columns([(0, 3), (1, 3), (2, 3), (3,), (3,), (3,)])
+        assert ho.gf2_rank(ho.Gf2Columns([0, 1, 2, 3], cols)) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices())
@@ -243,11 +294,10 @@ class TestBettiGf2:
         assert list(view) == list(view) == packed
         dense = np.array([[i in c for c in cols] for i in rows],
                          dtype=np.uint8).reshape(len(rows), len(cols))
-        for bound in (None, len(rows)):
-            positions = []
-            rank = ho.gf2_rank(view, bound, positions)
-            assert rank == ho.gf2_rank(view, bound) == dense_gf2_rank(dense)
-            assert positions == lex_first_basis(dense)
+        positions = []
+        assert ho.gf2_rank(view, positions) == ho.gf2_rank(view) == dense_gf2_rank(dense)
+        assert len(set(positions)) == len(positions)
+        assert dense_gf2_rank(dense[:, positions]) == len(positions)
 
     def test_disconnected_counts_components(self):
         points = cx.vietoris_rips(3, 0, 1)
@@ -475,6 +525,18 @@ class TestDominationLinkage:
 
 
 class TestCycleIsBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(cycles_in_shuffled_complexes())
+    def test_matches_dense_oracle(self, case):
+        k, chain, p = case
+        index = k.index_map(p)
+        c = np.zeros(len(index), dtype=np.uint8)
+        for s in chain:
+            c[index[s]] ^= 1
+        d = dense_boundary([k.simplices(i) for i in range(p + 2)], p + 1)
+        bounds = dense_gf2_rank(np.column_stack([d, c])) == dense_gf2_rank(d)
+        assert ho.cycle_is_gf2_boundary(k, chain, p) == bounds
+
     def test_circle_cycle_does_not_bound(self):
         k = cx.vietoris_rips(2, 1, 2)
         cycle = k.simplices(1)  # all four edges form the circle
