@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 from .bitops import dense_bits, iter_bits, mask_of
 from .errors import IsolatedVertex, SelfCheckFailed, TooLarge
-from .hypercube import Graph, cube_dimension, vertex_transitive
+from .hypercube import Graph, cube_dimension, hamming_labelling, vertex_transitive
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 # Set-up phases check a deadline once per this many bits of bitset work:
 # most steps read one m-bit row, so a check every CHECK_BITS // m steps; a
-# step of the transitivity check reads up to m rows, so every
+# step of a refinement search reads up to m rows, so every
 # CHECK_BITS // m^2.  Small graphs finish these phases at any time limit,
 # and on large ones the clock is read well under a millisecond apart.
 CHECK_BITS = 1 << 20
@@ -329,12 +329,15 @@ def _search(g: Graph, deadline):
     with no symmetry, the orbits are single vertices.
 
     When `cube_dimension` returns 0 without being cut short, one more
-    set-up phase under the deadline asks `vertex_transitive(rows)`, which
-    is true only once automorphisms it has checked put every vertex in
-    vertex 0's orbit (cut short, it claims nothing).  Then the root fixes
-    vertex 0 as on Q_n, with no cells below it: a minimum set S is not
-    empty, and some automorphism maps a member of S to 0, so the image of
-    S is a minimum set that holds 0.
+    set-up phase asks `hamming_labelling(rows)` for a map, checked on every
+    row, from the natural labelling of some G_{n,r} or complement onto g.
+    With one, `_search` runs on the natural rows, as above, and its witness
+    is mapped back.  Without one, a last phase asks `vertex_transitive`,
+    true only once automorphisms it has checked put every vertex in vertex
+    0's orbit; then the root fixes vertex 0 as on Q_n, with no cells below
+    it: a minimum set S is not empty, and some automorphism maps a member
+    of S to 0, so the image of S is a minimum set that holds 0.  The two
+    phases share one `_Expiry`, and a check cut short claims nothing.
     """
     rows = g.rows()
     m = g.m
@@ -381,9 +384,14 @@ def _search(g: Graph, deadline):
                 selectable &= ~(1 << v)
 
     if best_size > lower:
-        expired = _Expiry(deadline, m)
+        expired, refined = _Expiry(deadline, m), _Expiry(deadline, m * m)
         n = cube_dimension(rows, expired)
-        if n or not expired.late and vertex_transitive(rows, _Expiry(deadline, m * m)):
+        found = None if n or expired.late else hamming_labelling(rows, refined)
+        if found:
+            natural, perm = found
+            lower, size, mask, nodes = _search(natural, deadline)
+            return lower, size, mask_of(perm[v] for v in dense_bits(mask)), nodes
+        if n or not expired.late and vertex_transitive(rows, refined):
             dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1] if n else None)
         else:
             dfs(0, 0, 0, full, None)
@@ -407,13 +415,14 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     or the witness.  When the rows show the symmetry of
     Q_n (`cube_dimension`: G_{n,r} or its complement in its natural
     labelling), the root fixes vertex 0 and the search branches on orbits
-    of the coordinate permutations (see `_search`).  Any other graph that
-    `vertex_transitive` proves vertex-transitive, such as a relabelled
-    G_{n,r}, gets the root fixed at vertex 0 and no orbital branching.
-    Both skip subtrees that hold only images of sets found elsewhere, so
-    they cut `nodes` and keep the value; the witness is a minimum set
-    either way, though not always the one the search without symmetry
-    would return.
+    of the coordinate permutations (see `_search`).  A relabelled G_{n,r}
+    or complement (`hamming_labelling`) is solved in its natural
+    labelling, in as many nodes, and its witness mapped back.  Any other
+    graph that `vertex_transitive` proves vertex-transitive gets the root
+    fixed at vertex 0 and no orbital branching.  Symmetry skips subtrees
+    that hold only images of sets found elsewhere, so it cuts `nodes` and
+    keeps the value; the witness is a minimum set either way, though not
+    always the one the search without symmetry would return.
 
     gamma_t is additive over connected components, so a disconnected graph
     is solved one component at a time under the shared deadline, and the

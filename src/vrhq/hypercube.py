@@ -42,12 +42,12 @@ def hamming_distance(a: int, b: int) -> int:
 class Graph:
     """Immutable simple graph on vertices 0..m-1 with bitset adjacency rows."""
 
-    __slots__ = ("m", "_rows", "_max_degree")
+    __slots__ = ("m", "_rows", "_max_degree", "_isolated")
 
     def __init__(self, rows, validate=True):
         self.m = len(rows)
         self._rows = list(rows)
-        self._max_degree = None
+        self._max_degree = self._isolated = None
         if validate:
             self._validate()
 
@@ -87,7 +87,9 @@ class Graph:
         return self._max_degree
 
     def has_isolated_vertex(self) -> bool:
-        return any(row == 0 for row in self._rows)
+        if self._isolated is None:
+            self._isolated = 0 in self._rows
+        return self._isolated
 
 
 def _halfspace_patterns(n: int) -> list[int]:
@@ -226,48 +228,34 @@ def _individualised(cells, i, v):
     return cells, deque([len(cells) - 1])
 
 
-def _is_automorphism(rows, perm) -> bool:
-    """perm (perm[v] the image of v) maps every row onto the row of its
-    image."""
+def _is_isomorphism(a, b, perm) -> bool:
+    """perm (perm[v] the image of v) maps every row of a onto b's row of its image."""
     images = [1 << p for p in perm]
-    return all(sum(dense_bits(row, images)) == rows[p] for row, p in zip(rows, perm))
+    return all(sum(dense_bits(row, images)) == b[p] for row, p in zip(a, perm))
 
 
-def vertex_transitive(rows, expired=None) -> bool:
-    """True once automorphisms found and checked here put every vertex in
-    the orbit of vertex 0, so that the graph with these rows is
-    vertex-transitive; False claims nothing.
-
-    Individualisation-refinement (McKay and Piperno, *J. Symb. Comput.*
-    2014) on two sides.  The first side individualises vertex 0, then
-    level by level the lowest vertex of the smallest non-singleton cell
-    (the first on ties), and refines after each to an equitable partition
-    (`_split`, with a queue of splitter cells) until the partition is
-    discrete; it keeps each level's trace.  For each vertex w not yet in
-    0's orbit, the other side individualises w and backtracks over the
-    vertices of the same cells, refining in lockstep: a step whose trace
-    entry differs from the first side's ends its branch.  A discrete leaf
-    maps each cell of the first side onto its partner; the map counts only
-    once it has been checked on every row, and its cycles are merged into
-    the orbits by union-find.
-
-    Returns False at once on an irregular graph.  It also returns False
-    when w's trace differs from 0's at the root or no branch yields an
-    automorphism (then no automorphism maps 0 to w), after
-    TRANSITIVITY_STEPS refinement steps, or once `expired`, if given, is
-    true.  `expired` is called once per refinement step and once per map
-    checked, and each of these reads or scans at most O(m) rows and
-    cells."""
-    m = len(rows)
-    if m < 2:
-        return m == 1
-    if len({row.bit_count() for row in rows}) > 1:
-        return False
-    if expired is None:
-        expired = lambda: False
+def _maps_onto(a, b, expired=None):
+    """Individualisation-refinement (McKay and Piperno, *J. Symb. Comput.*
+    2014) from the graph with rows `a` onto the graph with rows `b`.  Side
+    a runs once, here: it individualises vertex 0, then level by level the
+    lowest vertex of the smallest non-singleton cell (the first on ties),
+    and refines after each to an equitable partition (`_split`, with a
+    queue of splitter cells) until it is discrete, keeping each level's
+    trace.  The returned onto(w, root) individualises w on side b and
+    backtracks over the vertices of the same cells, refining in lockstep:
+    a step whose trace entry differs from side a's ends its branch.  A
+    discrete leaf maps each cell of side a onto its partner.  onto returns
+    the first such map (perm[v] the image of v) that `_is_isomorphism`
+    passes, or None, which proves that no isomorphism maps 0 to w.
+    Candidates whose root(v) differs from that of side a's vertex come
+    first.  Raises _GiveUp after TRANSITIVITY_STEPS refinement steps, or
+    once `expired`, if given, is true: it is called once per step and once
+    per map checked, each of which reads O(m) rows and cells."""
+    expired = expired or (lambda: False)
+    m = len(a)
     steps = 0
 
-    def refine(cells, queue, expect):
+    def refine(rows, cells, queue, expect):
         """Refine `cells` in place until `queue` is empty; the trace, or
         None at the first step that differs from `expect`."""
         nonlocal steps
@@ -282,10 +270,20 @@ def vertex_transitive(rows, expired=None) -> bool:
             trace.append(entry)
         return trace
 
-    def automorphism(w):
-        """An automorphism that maps 0 to w, or None.  Candidates outside
-        the orbit of the first side's vertex come first, so that the map
-        found tends to join orbits rather than permute within them."""
+    leaf, targets, picks, traces = [(1 << m) - 1], [], [], []
+    t = v = 0
+    while True:
+        leaf, queue = _individualised(leaf, t, v)
+        targets.append(t)
+        picks.append(v)
+        traces.append(refine(a, leaf, queue, None))
+        if len(leaf) == m:
+            break
+        t = min((i for i, cell in enumerate(leaf) if cell & (cell - 1)),
+                key=lambda i: leaf[i].bit_count())
+        v = (leaf[t] & -leaf[t]).bit_length() - 1
+
+    def onto(w, root):
         stack, above = [iter((w,))], [[(1 << m) - 1]]
         while stack:
             k = len(stack) - 1
@@ -295,22 +293,38 @@ def vertex_transitive(rows, expired=None) -> bool:
                 above.pop()
                 continue
             cells, queue = _individualised(above[k], targets[k], v)
-            if refine(cells, queue, traces[k]) is None:
+            if refine(b, cells, queue, traces[k]) is None:
                 continue
             if len(cells) == m:
                 if expired():
                     raise _GiveUp
                 perm = [0] * m
-                for a, b in zip(leaf, cells):
-                    perm[a.bit_length() - 1] = b.bit_length() - 1
-                if _is_automorphism(rows, perm):
+                for x, y in zip(leaf, cells):
+                    perm[x.bit_length() - 1] = y.bit_length() - 1
+                if _is_isomorphism(a, b, perm):
                     return perm
                 continue
             above.append(cells)
             orbit = root(picks[k + 1])
             stack.append(iter(sorted(iter_bits(cells[targets[k + 1]]),
-                                     key=lambda b: root(b) == orbit)))
+                                     key=lambda c: root(c) == orbit)))
         return None
+    return onto
+
+
+def vertex_transitive(rows, expired=None) -> bool:
+    """True once automorphisms found by `_maps_onto` and merged into orbits
+    by union-find put every vertex in the orbit of vertex 0, so that the
+    graph with these rows is vertex-transitive; False claims nothing.  For
+    each w outside 0's orbit, candidates outside the orbit of side a's
+    vertex come first, so that the map found tends to join orbits.  False
+    at once on an irregular graph, when no automorphism maps 0 to some w,
+    or when `_maps_onto` gives up."""
+    m = len(rows)
+    if m < 2:
+        return m == 1
+    if len({row.bit_count() for row in rows}) > 1:
+        return False
 
     def root(v):
         while parent[v] != v:
@@ -319,22 +333,11 @@ def vertex_transitive(rows, expired=None) -> bool:
 
     parent = list(range(m))
     try:
-        leaf, targets, picks, traces = [(1 << m) - 1], [], [], []
-        t = v = 0
-        while True:
-            leaf, queue = _individualised(leaf, t, v)
-            targets.append(t)
-            picks.append(v)
-            traces.append(refine(leaf, queue, None))
-            if len(leaf) == m:
-                break
-            t = min((i for i, cell in enumerate(leaf) if cell & (cell - 1)),
-                    key=lambda i: leaf[i].bit_count())
-            v = (leaf[t] & -leaf[t]).bit_length() - 1
+        onto = _maps_onto(rows, rows, expired)
         for w in range(1, m):
             if root(w) == root(0):
                 continue
-            perm = automorphism(w)
+            perm = onto(w, root)
             if perm is None:
                 return False
             for v, image in enumerate(perm):
@@ -342,6 +345,32 @@ def vertex_transitive(rows, expired=None) -> bool:
     except _GiveUp:
         return False
     return True
+
+
+def hamming_labelling(rows, expired=None):
+    """(G, perm) when these rows are G = G_{n,r} or its complement relabelled
+    by perm, checked on every row: perm[v] plays vertex v of G as
+    `build_hamming_graph` labels it.  Each candidate on m = 2^n vertices
+    with the degree of these regular rows is searched by `_maps_onto` from
+    its vertex 0 onto vertex 0 here (enough, G being vertex-transitive).
+    None, also when `_maps_onto` gives up, claims nothing."""
+    m = len(rows)
+    degrees = {row.bit_count() for row in rows}
+    if m < 2 or m & (m - 1) or len(degrees) > 1:
+        return None
+    n = m.bit_length() - 1
+    try:
+        for r in range(n):
+            below = sum(math.comb(n, d) for d in range(1, r + 1))
+            for complemented in (False, True):
+                if (m - 1 - below if complemented else below) in degrees:
+                    g = build_hamming_graph(n, r, complemented)
+                    perm = _maps_onto(g.rows(), rows, expired)(0, lambda v: v)
+                    if perm is not None:
+                        return g, perm
+    except _GiveUp:
+        pass
+    return None
 
 
 def read_dimacs(text: str, build=None) -> Graph:

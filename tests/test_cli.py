@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from vrhq import bounds, cli, domination, render
+from vrhq import bitops, bounds, cli, domination, hypercube, render
 from vrhq.complexes import format_complex, vietoris_rips
+
+from tests.oracles import dimacs_text
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -197,6 +200,24 @@ class TestGammaT:
         validate_envelope(env)
         assert env["result"]["exact"] == 2
         assert env["result"]["graph"]["kind"] == "dimacs"
+
+    def test_relabelled_dimacs_copy_takes_the_natural_tree(self, capsys, tmp_path):
+        gc64 = hypercube.build_hamming_graph(6, 4, complemented=True)
+        perm = list(range(64))
+        random.Random(7).shuffle(perm)  # vertex u of Gc(6,4) is perm[u] in the file
+        path = tmp_path / "gc64.col"
+        path.write_text(dimacs_text(hypercube.Graph.from_edges(
+            64, [(perm[u], perm[v]) for u in range(64) for v in bitops.iter_bits(gc64.row(u))])))
+        code, env = run_json(capsys, "gamma-t", "--dimacs", str(path))
+        assert code == 0
+        _, natural = run_json(capsys, "gamma-t", "--n", "6", "--r", "4")
+        res, want = env["result"], natural["result"]
+        assert (res["exact"], res["nodes"]) == (want["exact"], want["nodes"]) == (12, 2782)
+        inverse = {p: u for u, p in enumerate(perm)}
+        witness = [inverse[v] for v in res["witness"]]
+        assert len(witness) == 12
+        assert all(any(hypercube.hamming_distance(u, w) >= 5 for w in witness)
+                   for u in range(64))
 
     def test_time_limit_expiry_is_ok_exit(self, capsys):
         code, env = run_json(capsys, "gamma-t", "--n", "8", "--r", "6",

@@ -33,6 +33,13 @@ def relabelled(g, seed):
                                      for v in iter_bits(g.row(u)) if u < v])
 
 
+def hamming_graphs(n_max):
+    """Every G(n,r) and Gc(n,r) with n <= n_max and no isolated vertex, in
+    the natural labelling: G(n,r) for 0 < r < n, Gc(n,r) for r < n."""
+    return [hc.build_hamming_graph(n, r, complemented) for n in range(1, n_max + 1)
+            for r in range(n) for complemented in (False, True) if complemented or r]
+
+
 @pytest.fixture(scope="module")
 def relabelled_gc64(gc64):
     return relabelled(gc64, 0)
@@ -41,6 +48,14 @@ def relabelled_gc64(gc64):
 @pytest.fixture(scope="module")
 def relabelled_gc64_exact(relabelled_gc64):
     return dom.exact_gamma_t(relabelled_gc64)
+
+
+def cayley_not_hamming():
+    """The Cayley graph of Z_2^5 on e_1..e_5 and e_1 + e_2: 6-regular, as
+    Gc(5,3) is, and vertex-transitive, but with triangles, which Gc(5,3)
+    has none of."""
+    return hc.Graph.from_edges(32, {(v, v ^ s) for v in range(32)
+                                    for s in (1, 2, 4, 8, 16, 3) if v < v ^ s})
 
 
 def disjoint_union(*graphs):
@@ -114,6 +129,27 @@ class TestIsTotalDominating:
     def test_out_of_range_vertices(self):
         with pytest.raises(ValueError):
             dom.is_total_dominating(four_cycle(), {0, 9})
+
+    def test_isolation_is_scanned_once_per_graph(self):
+        # a scan tests every row against 0; the solver's entry, greedy,
+        # lower bound and certificate each ask, and share one scan
+        tested = []
+
+        class Row(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                if other == 0:
+                    tested.append(self)
+                return int.__eq__(self, other)
+        gc53 = hc.build_hamming_graph(5, 3, complemented=True)
+        g = hc.Graph([Row(row) for row in gc53.rows()], validate=False)
+        assert dom.exact_gamma_t(g).exact == 7
+        assert len(tested) == g.m
+        isolated = hc.Graph.from_edges(3, [(0, 1)])
+        for call in (dom.exact_gamma_t, dom.trivial_lower_bound, dom.greedy_upper_bound):
+            with pytest.raises(IsolatedVertex):  # every caller still raises
+                call(isolated)
 
 
 class TestBounds:
@@ -220,7 +256,9 @@ class TestExactGammaT:
         # the incumbent, so the incumbent changes at the same leaves: same
         # value and witness as the frozen reference, in no more nodes; the
         # reference fixes vertex 0 wherever the VF2++ oracle finds the graph
-        # vertex-transitive, and so must the solver, whatever the labelling
+        # vertex-transitive, and so must the solver, whatever the labelling.
+        # A relabelled Hamming graph is solved in its natural labelling,
+        # another tree: its witness is a minimum set, not the reference's
         cases = [g for g in small_corpus() if is_connected(g)]
         cases += [hc.build_hamming_graph(n, r, complemented=True)
                   for n in range(1, 6) for r in range(n - 1)]
@@ -228,27 +266,37 @@ class TestExactGammaT:
         cases.append(relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3))
         solved = {id(gc64): gc64_exact, id(relabelled_gc64): relabelled_gc64_exact}
         cases += [gc64, relabelled_gc64]
-        hidden = 0  # vertex-transitive, but not in Q_n's natural labelling
+        hidden = relabelled_hamming = 0  # transitive, not in Q_n's natural labelling
         for g in cases:
             transitive = is_vertex_transitive(g.rows())
+            hamming = False
             if transitive and not hc.cube_dimension(g.rows()):
                 hidden += 1
+                hamming = hc.hamming_labelling(g.rows()) is not None
+                relabelled_hamming += hamming
             res = solved.get(id(g)) or dom.exact_gamma_t(g)
             value, witness, nodes = reference_gamma_t(g.rows(), transitive)
-            assert (res.exact, res.witness) == (value, witness)
+            if hamming:
+                assert res.exact == value and len(res.witness) == value
+                assert dom.is_total_dominating(g, res.witness)
+            else:
+                assert (res.exact, res.witness) == (value, witness)
             assert res.nodes <= nodes
         # ten small graphs, the relabelled Gc(5,3) and the relabelled Gc(6,4)
-        # (9,103 nodes against the reference's 22,592)
-        assert hidden == 12
+        # (2,782 nodes against the reference's 22,592); of these, K_4, the
+        # 4-cycle and the two relabelled Gc(n,r) are Hamming graphs
+        assert hidden == 12 and relabelled_hamming == 4
 
     def test_node_counts_are_pinned(self, gc64, gc64_exact, relabelled_gc64_exact):
         # deterministic counts, no timing: a weaker prune fails here first
         # (the solver without the packing prune took 29,289 nodes on
         # Gc(6,4), and without orbital branching 10,094; the frozen
-        # reference takes 22,592 on the relabelled copy with vertex 0 fixed)
+        # reference takes 22,592 on the relabelled copy with vertex 0 fixed,
+        # and the solver took 9,103 there before it mapped the copy onto
+        # the natural labelling)
         assert gc64_exact.nodes == 2782
         assert relabelled_gc64_exact.exact == 12
-        assert relabelled_gc64_exact.nodes == 9103
+        assert relabelled_gc64_exact.nodes == 2782
         # one antipodal edge less leaves a connected, irregular graph that
         # gets the search without symmetry (the reference takes 191,428)
         rows = gc64.rows()
@@ -298,6 +346,21 @@ class TestExactGammaT:
             assert res.exact == milp_gamma_t(g.rows())
             assert res.nodes == nodes and dom.is_total_dominating(g, res.witness)
 
+    def test_relabelled_hamming_graphs_take_the_natural_tree(self):
+        for natural in hamming_graphs(6):
+            want = dom.exact_gamma_t(natural)
+            for seed in (1, 2):
+                res = dom.exact_gamma_t(relabelled(natural, seed))
+                assert (res.exact, res.nodes) == (want.exact, want.nodes)
+
+    def test_regular_graphs_that_are_no_hamming_graph(self):
+        # 4- and 5-regular on 16 vertices: the degrees of Q_4 and Gc(4,2)
+        import networkx as nx
+        for degree, seed in itertools.product((4, 5), range(3)):
+            g = hc.Graph.from_edges(16, nx.random_regular_graph(degree, 16, seed=seed).edges())
+            assert hc.hamming_labelling(g.rows()) is None
+            assert dom.exact_gamma_t(g).exact == dom.gamma_t_exhaustive(g)
+
     def test_components_are_solved_apart(self):
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
         one = dom.exact_gamma_t(gc53)
@@ -312,13 +375,13 @@ class TestExactGammaT:
     def test_components_get_the_symmetry_they_have(self):
         # the union of two copies of Gc(5,3) shows no symmetry of Q_6, but
         # each component, relabelled to 0..31, shows Q_5's; a relabelled
-        # copy hides Q_5's labelling, is found vertex-transitive and gets
-        # vertex 0 fixed without orbital branching, inside the same union too
+        # copy hides Q_5's labelling and is mapped back onto it, inside the
+        # same union too
         gc53 = hc.build_hamming_graph(5, 3, complemented=True)
         shuffled = relabelled(gc53, 3)
         assert dom.exact_gamma_t(gc53).nodes == 39
-        assert dom.exact_gamma_t(shuffled).nodes == 124
-        for other, nodes in ((gc53, 39), (shuffled, 124)):
+        assert dom.exact_gamma_t(shuffled).nodes == 39
+        for other, nodes in ((gc53, 39), (shuffled, 39)):
             g = disjoint_union(gc53, other)
             assert hc.cube_dimension(g.rows()) == 0
             res = dom.exact_gamma_t(g)
@@ -660,8 +723,11 @@ class TestDeadline:
             return orbits(cells, order)
         monkeypatch.setattr(dom, "cube_dimension", recording_check)
         monkeypatch.setattr(dom, "coordinate_orbits", counting_orbits)
-        # the transitivity check never starts after a cube check: one that
-        # finished found Q_6, and one cut short leaves no time
+        # neither the recognition nor the transitivity check starts after a
+        # cube check: one that finished found Q_6, and one cut short leaves
+        # no time
+        monkeypatch.setattr(dom, "hamming_labelling",
+                            lambda rows, expired: transitivity_checks.append(rows))
         monkeypatch.setattr(dom, "vertex_transitive",
                             lambda rows, expired: transitivity_checks.append(rows))
         clock.now = 0
@@ -678,8 +744,45 @@ class TestDeadline:
             assert res.upper == len(res.witness) and dom.is_total_dominating(gc64, res.witness)
         assert transitivity_checks == []
 
-    def test_transitivity_check_cut_short_claims_nothing(self, clock, monkeypatch):
+    def test_recognition_cut_short_claims_nothing(self, clock, monkeypatch):
         g = relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3)
+        checks, transitivity_checks = [], []
+        check, transitive = dom.hamming_labelling, dom.vertex_transitive
+
+        def recording_check(rows, expired):
+            start = clock.now
+            found = check(rows, expired)
+            checks.append((start, clock.now, found is not None))
+            return found
+
+        def recording_transitivity(rows, expired):
+            start = clock.now
+            transitivity_checks.append((start, clock.now, transitive(rows, expired)))
+            return transitivity_checks[-1][2]
+        monkeypatch.setattr(dom, "hamming_labelling", recording_check)
+        monkeypatch.setattr(dom, "vertex_transitive", recording_transitivity)
+        clock.now = 0
+        assert dom.exact_gamma_t(g, time_limit=1e9).nodes == 39
+        [(start, end, found)] = checks
+        assert found and end - start > 50  # one reading per refinement step
+        assert transitivity_checks == []
+        for cut in range(start - 1, end - 1, 7):
+            clock.now = 0
+            checks.clear()
+            res = dom.exact_gamma_t(g, time_limit=cut + 0.5)
+            # the recognition stops at its first late reading and claims
+            # nothing; the transitivity check shares its clock, so it gives
+            # up without a reading; the search without symmetry stops at its
+            # first node, then the last reading for elapsed_s
+            assert checks == [(start, cut + 2, False)], cut
+            assert transitivity_checks[-1] == (cut + 2, cut + 2, False)
+            assert res.status == "bounds_only" and res.nodes == 1
+            assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
+            assert clock.now == cut + 2 + 1 + 1
+
+    def test_transitivity_check_cut_short_claims_nothing(self, clock, monkeypatch):
+        # Gc(5,3)'s degree: the recognition runs first and finds no map
+        g = relabelled(cayley_not_hamming(), 3)
         checks = []
         check = dom.vertex_transitive
 
@@ -690,7 +793,7 @@ class TestDeadline:
             return found
         monkeypatch.setattr(dom, "vertex_transitive", recording_check)
         clock.now = 0
-        assert dom.exact_gamma_t(g, time_limit=1e9).nodes == 124
+        assert dom.exact_gamma_t(g, time_limit=1e9).nodes == 112
         [(start, end, found)] = checks
         assert found and end - start > 50  # one reading per refinement step
         # the reading that starts the clock is reading 1, so reading

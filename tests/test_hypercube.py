@@ -11,7 +11,7 @@ from vrhq import bitops, bounds, hypercube as hc
 from vrhq.errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 from tests.oracles import dimacs_text, is_vertex_transitive
-from tests.test_domination import relabelled
+from tests.test_domination import hamming_graphs, relabelled
 
 labels64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -200,7 +200,7 @@ class TestVertexTransitive:
         needed = len(split_steps)
         assert not hc.vertex_transitive(petersen, expired=lambda: True)
         # expiry seen only by the check of a leaf's map, not by refinement
-        leaf_check = lambda: sys._getframe(1).f_code.co_name == "automorphism"
+        leaf_check = lambda: sys._getframe(1).f_code.co_name == "onto"
         assert not hc.vertex_transitive(petersen, expired=leaf_check)
         monkeypatch.setattr(hc, "TRANSITIVITY_STEPS", needed - 1)
         assert not hc.vertex_transitive(petersen)
@@ -224,6 +224,36 @@ class TestVertexTransitive:
                                           if v - u != 64])
         assert hc.vertex_transitive(g.rows())
         assert len(split_steps) <= per_vertex * g.m <= hc.TRANSITIVITY_STEPS // 8
+
+
+class TestHammingLabelling:
+    def assert_labelling(self, rows, natural):
+        g, perm = hc.hamming_labelling(rows)
+        assert g.rows() == natural.rows() and sorted(perm) == list(range(g.m))
+        # the map carries each row of the natural labelling onto its image's
+        for v in range(g.m):
+            assert sum(1 << perm[u] for u in bitops.iter_bits(g.row(v))) == rows[perm[v]]
+
+    def test_relabelled_hamming_graphs_are_recognised(self):
+        for natural in hamming_graphs(6):
+            for seed in (1, 2):
+                self.assert_labelling(relabelled(natural, seed).rows(), natural)
+
+    def test_other_constructions_of_hamming_graphs(self):
+        import networkx as nx
+        # the folded 5-cube, Q_4 and its antipodal edges, is Gc(4,2)
+        q4 = hc.build_hamming_graph(4, 1)
+        folded = hc.Graph([row | 1 << (v ^ 15) for v, row in enumerate(q4.rows())])
+        self.assert_labelling(folded.rows(), hc.build_hamming_graph(4, 2, True))
+        # C4 x C4 is Q_4
+        h = nx.convert_node_labels_to_integers(
+            nx.cartesian_product(nx.cycle_graph(4), nx.cycle_graph(4)))
+        self.assert_labelling(hc.Graph.from_edges(16, h.edges()).rows(), q4)
+
+    def test_other_graphs_are_not_recognised(self):
+        assert hc.hamming_labelling(cycle(12).rows()) is None  # 12 is no power of 2
+        assert hc.hamming_labelling(figure_graph().rows()) is None  # irregular
+        assert hc.hamming_labelling(cycle(8).rows()) is None  # no G(3,r) is 2-regular
 
 
 class TestGraph:
