@@ -22,8 +22,8 @@ from .domination import (DominationResult, exact_gamma_t, gamma_t_exhaustive,
 from .homology import (BettiProfile, BoundaryMatrix, betti_gf2,
                        boundary_matrix, cycle_is_gf2_boundary,
                        reduced_homology, smith_normal_form)
-from .hypercube import (Graph, build_hamming_graph, cube_dimension,
-                        hamming_distance, read_dimacs, vertex_transitive)
+from .hypercube import (Graph, build_hamming_graph, hamming_distance,
+                        read_dimacs, vertex_transitive)
 
 __all__ = [
     "ExactRatio", "alpha", "connectivity_lower_bound",
@@ -36,6 +36,6 @@ __all__ = [
     "greedy_upper_bound", "is_total_dominating", "trivial_lower_bound",
     "BettiProfile", "BoundaryMatrix", "betti_gf2", "boundary_matrix",
     "cycle_is_gf2_boundary", "reduced_homology", "smith_normal_form",
-    "Graph", "build_hamming_graph", "cube_dimension",
-    "hamming_distance", "read_dimacs", "vertex_transitive",
+    "Graph", "build_hamming_graph", "hamming_distance", "read_dimacs",
+    "vertex_transitive",
 ]

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 from .bitops import dense_bits, iter_bits, mask_of
 from .errors import IsolatedVertex, SelfCheckFailed, TooLarge
-from .hypercube import Graph, cube_dimension, hamming_labelling, vertex_transitive
+from .hypercube import Graph, hamming_labelling, vertex_transitive
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 # Set-up phases check a deadline once per this many bits of bitset work:
 # most steps read one m-bit row, so a check every CHECK_BITS // m steps; a
 # step of a refinement search reads up to m rows, so every
-# CHECK_BITS // m^2.  Small graphs finish these phases at any time limit,
+# CHECK_BITS // m^2, as does the row check that shares its clock (see
+# `_search`).  Small graphs finish these phases at any time limit,
 # and on large ones the clock is read well under a millisecond apart.
 CHECK_BITS = 1 << 20
 
@@ -306,8 +307,9 @@ def _search(g: Graph, deadline):
     `branch_or_prune` whether any child can beat the incumbent and, if so,
     which candidates to branch over.
 
-    When `cube_dimension(rows)` is n > 0, a set-up phase under the deadline
-    (cut short, it claims no symmetry), the automorphisms of Q_n preserve g:
+    A set-up phase under the deadline asks `hamming_labelling(rows)`
+    whether g is some G_{n,r} or complement.  When g is one in its natural
+    labelling, the automorphisms of Q_n preserve g:
     the translations let the root fix vertex 0, and the coordinate
     permutations are the symmetries left.  The search then branches on
     orbits (orbital branching, Ostrowski,
@@ -328,16 +330,15 @@ def _search(g: Graph, deadline):
     lies in child i's subtree.  Once every cell is a single coordinate, or
     with no symmetry, the orbits are single vertices.
 
-    When `cube_dimension` returns 0 without being cut short, one more
-    set-up phase asks `hamming_labelling(rows)` for a map, checked on every
-    row, from the natural labelling of some G_{n,r} or complement onto g.
-    With one, `_search` runs on the natural rows, as above, and its witness
-    is mapped back.  Without one, a last phase asks `vertex_transitive`,
-    true only once automorphisms it has checked put every vertex in vertex
-    0's orbit; then the root fixes vertex 0 as on Q_n, with no cells below
-    it: a minimum set S is not empty, and some automorphism maps a member
-    of S to 0, so the image of S is a minimum set that holds 0.  The two
-    phases share one `_Expiry`, and a check cut short claims nothing.
+    When it finds a map, checked on every row, from that natural labelling
+    onto g, `_search` runs on the natural rows, as above, and its witness
+    is mapped back.  When it finds nothing and was not cut short, the phase
+    goes on to ask `vertex_transitive`, true only once automorphisms it has
+    checked put every vertex in vertex 0's orbit; then the root fixes
+    vertex 0 as on Q_n, with no cells below it: a minimum set S is not
+    empty, and some automorphism maps a member of S to 0, so the image of S
+    is a minimum set that holds 0.  Both checks read one `_Expiry`, and a
+    check cut short claims nothing.
     """
     rows = g.rows()
     m = g.m
@@ -384,15 +385,15 @@ def _search(g: Graph, deadline):
                 selectable &= ~(1 << v)
 
     if best_size > lower:
-        expired, refined = _Expiry(deadline, m), _Expiry(deadline, m * m)
-        n = cube_dimension(rows, expired)
-        found = None if n or expired.late else hamming_labelling(rows, refined)
-        if found:
+        expired = _Expiry(deadline, m * m)
+        found = hamming_labelling(rows, expired)
+        if found and found[0]:
             natural, perm = found
             lower, size, mask, nodes = _search(natural, deadline)
             return lower, size, mask_of(perm[v] for v in dense_bits(mask)), nodes
-        if n or not expired.late and vertex_transitive(rows, refined):
-            dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1] if n else None)
+        n = m.bit_length() - 1
+        if found or not expired.late and vertex_transitive(rows, expired):
+            dfs(1, 1, rows[0], full ^ 1, [(1 << n) - 1] if found else None)
         else:
             dfs(0, 0, 0, full, None)
     if not stop.late:
@@ -412,12 +413,11 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     incumbent.  A prune cuts only subtrees with no set smaller than the
     incumbent, so the incumbent changes at the same leaves however strong
     the bound is, and a stronger prune changes `nodes` but never the value
-    or the witness.  When the rows show the symmetry of
-    Q_n (`cube_dimension`: G_{n,r} or its complement in its natural
-    labelling), the root fixes vertex 0 and the search branches on orbits
-    of the coordinate permutations (see `_search`).  A relabelled G_{n,r}
-    or complement (`hamming_labelling`) is solved in its natural
-    labelling, in as many nodes, and its witness mapped back.  Any other
+    or the witness.  On G_{n,r} or its complement in its natural labelling
+    (`hamming_labelling`), the root fixes vertex 0 and the search branches
+    on orbits of the coordinate permutations (see `_search`).  A relabelled
+    one is solved in its natural labelling, in as many nodes, and its
+    witness mapped back.  Any other
     graph that `vertex_transitive` proves vertex-transitive gets the root
     fixed at vertex 0 and no orbital branching.  Symmetry skips subtrees
     that hold only images of sets found elsewhere, so it cuts `nodes` and
@@ -431,7 +431,7 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
 
     With no time limit the result is exact.  The deadline covers everything
     after the graph is built: the component split, the greedy incumbent and
-    the symmetry checks read the clock once per CHECK_BITS bits of bitset
+    the symmetry phase read the clock once per CHECK_BITS bits of bitset
     work, and the search at every node, each phase through its own
     `_Expiry`.  On expiry `upper` is the incumbent (completed cheaply if the
     greedy was cut short) and `lower` sums, per component, the exact value

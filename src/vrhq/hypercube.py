@@ -10,9 +10,9 @@ representation.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 
-from .bitops import dense_bits, iter_bits
+from .bitops import dense_bits, iter_bits, mask_of
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 # Bounds the size of an explicit graph, not memory: 2^MATERIALIZE_CEILING
@@ -109,6 +109,11 @@ def _translated(rows, v: int, patterns) -> int:
     return ((row & p) << low) | ((row >> low) & p)
 
 
+def _hamming_row(n: int, r: int, complemented: bool) -> int:
+    """Row 0 of G_{n,r} (distance <= r) or its complement (distance >= r+1)."""
+    return mask_of(w for w in range(1, 1 << n) if (w.bit_count() > r) == complemented)
+
+
 def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
     """Materialize G_{n,r} (distance <= r) or its complement (distance >= r+1).
 
@@ -121,43 +126,17 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
         raise DimensionTooLarge(
             f"n = {n} exceeds the materialization ceiling {MATERIALIZE_CEILING}; "
             "use hamming_distance() for implicit queries")
-    base = 0
-    for w in range(1, 1 << n):
-        d = w.bit_count()
-        if (d > r) if complemented else (d <= r):
-            base |= 1 << w
     patterns = _halfspace_patterns(n)
-    rows = [base]
+    rows = [_hamming_row(n, r, complemented)]
     for v in range(1, 1 << n):
         rows.append(_translated(rows, v, patterns))
     return Graph(rows, validate=False)
 
 
-def cube_dimension(rows, expired=None) -> int:
-    """n if the automorphisms of Q_n preserve the graph with these rows (so
-    G_{n,r} and its complement), else 0: m = 2^n, each row v is row 0
-    XOR-translated by v (checked as `_translated(rows, v)`), and row 0 is a
-    union of weight classes, so coordinate permutations preserve it.
-
-    `expired`, if given, is called before each row is compared; once it is
-    true the check stops and returns 0, which claims no symmetry."""
-    m = len(rows)
-    if m < 2 or m & (m - 1):
-        return 0
-    n = m.bit_length() - 1
-    weights = Counter(w.bit_count() for w in iter_bits(rows[0]))
-    if any(count != math.comb(n, d) for d, count in weights.items()):
-        return 0
-    patterns = _halfspace_patterns(n)
-    for v in range(1, m):
-        if expired is not None and expired() or rows[v] != _translated(rows, v, patterns):
-            return 0
-    return n
-
-
-# Work cap of `vertex_transitive`, in refinement steps (`_split` calls).
-# Proving a 512-cycle or a relabelled Gc(9,6) transitive takes a small
-# fraction of it; a graph that needs more gets no symmetry.
+# Work cap of each `_maps_onto` search, `vertex_transitive`'s and
+# `hamming_labelling`'s, in refinement steps (`_split` calls).  Proving a
+# 512-cycle or a relabelled Gc(9,6) transitive takes a small fraction of
+# it; a graph that needs more gets no symmetry.
 TRANSITIVITY_STEPS = 1 << 14
 
 
@@ -348,28 +327,40 @@ def vertex_transitive(rows, expired=None) -> bool:
 
 
 def hamming_labelling(rows, expired=None):
-    """(G, perm) when these rows are G = G_{n,r} or its complement relabelled
-    by perm, checked on every row: perm[v] plays vertex v of G as
-    `build_hamming_graph` labels it.  Each candidate on m = 2^n vertices
-    with the degree of these regular rows is searched by `_maps_onto` from
-    its vertex 0 onto vertex 0 here (enough, G being vertex-transitive).
-    None, also when `_maps_onto` gives up, claims nothing."""
+    """(None, None) when these rows are G = G_{n,r} or its complement as
+    `build_hamming_graph` labels it: row 0 is G's, and each row v is row 0
+    XOR-translated by v (`_translated`).  Otherwise (G, perm) when they
+    are G relabelled by perm, checked on every row: perm[v] plays vertex v
+    of G, and `_maps_onto` finds it from G's vertex 0 onto vertex 0 here
+    (enough, G being vertex-transitive); rows that are not regular have no
+    map.  Only one G on m = 2^n vertices has the degree of row 0.
+    `expired`, if given, is called before each row v is compared and
+    before G is built, and by `_maps_onto`; None, also once it is true,
+    claims nothing."""
+    expired = expired or (lambda: False)
     m = len(rows)
-    degrees = {row.bit_count() for row in rows}
-    if m < 2 or m & (m - 1) or len(degrees) > 1:
+    if m < 2 or m & (m - 1):
         return None
     n = m.bit_length() - 1
-    try:
-        for r in range(n):
-            below = sum(math.comb(n, d) for d in range(1, r + 1))
-            for complemented in (False, True):
-                if (m - 1 - below if complemented else below) in degrees:
-                    g = build_hamming_graph(n, r, complemented)
-                    perm = _maps_onto(g.rows(), rows, expired)(0, lambda v: v)
-                    if perm is not None:
-                        return g, perm
-    except _GiveUp:
-        pass
+    degree = rows[0].bit_count()
+    for r in range(n):
+        below = sum(math.comb(n, d) for d in range(1, r + 1))
+        for complemented in (False, True):
+            if (m - 1 - below if complemented else below) != degree:
+                continue
+            patterns = _halfspace_patterns(n)
+            if rows[0] == _hamming_row(n, r, complemented) and all(
+                    not expired() and rows[v] == _translated(rows, v, patterns)
+                    for v in range(1, m)):
+                return None, None
+            if expired() or any(row.bit_count() != degree for row in rows):
+                return None
+            g = build_hamming_graph(n, r, complemented)
+            try:
+                perm = _maps_onto(g.rows(), rows, expired)(0, lambda v: v)
+            except _GiveUp:
+                return None
+            return None if perm is None else (g, perm)
     return None
 
 

@@ -33,6 +33,14 @@ def relabelled(g, seed):
                                      for v in iter_bits(g.row(u)) if u < v])
 
 
+def swapped(g, a, b):
+    """g with labels a and b exchanged."""
+    perm = list(range(g.m))
+    perm[a], perm[b] = b, a
+    return hc.Graph.from_edges(g.m, [(perm[u], perm[v]) for u in range(g.m)
+                                     for v in iter_bits(g.row(u)) if u < v])
+
+
 def hamming_graphs(n_max):
     """Every G(n,r) and Gc(n,r) with n <= n_max and no isolated vertex, in
     the natural labelling: G(n,r) for 0 < r < n, Gc(n,r) for r < n."""
@@ -228,7 +236,9 @@ class TestExactGammaT:
     def test_symmetry_fixing_does_not_change_the_value(self):
         gc42 = hc.build_hamming_graph(4, 2, complemented=True)
         plain = relabelled(gc42, 0)  # same graph, labels that hide Q_4's symmetry
-        assert hc.cube_dimension(gc42.rows()) == 4 and hc.cube_dimension(plain.rows()) == 0
+        natural, _ = hc.hamming_labelling(plain.rows())
+        assert hc.hamming_labelling(gc42.rows()) == (None, None)
+        assert natural.rows() == gc42.rows()
         assert dom.exact_gamma_t(gc42).exact == dom.exact_gamma_t(plain).exact == \
             dom.gamma_t_exhaustive(gc42)
 
@@ -269,10 +279,10 @@ class TestExactGammaT:
         hidden = relabelled_hamming = 0  # transitive, not in Q_n's natural labelling
         for g in cases:
             transitive = is_vertex_transitive(g.rows())
-            hamming = False
-            if transitive and not hc.cube_dimension(g.rows()):
+            found = hc.hamming_labelling(g.rows())
+            hamming = bool(found and found[0])
+            if transitive and found != (None, None):
                 hidden += 1
-                hamming = hc.hamming_labelling(g.rows()) is not None
                 relabelled_hamming += hamming
             res = solved.get(id(g)) or dom.exact_gamma_t(g)
             value, witness, nodes = reference_gamma_t(g.rows(), transitive)
@@ -353,6 +363,14 @@ class TestExactGammaT:
                 res = dom.exact_gamma_t(relabelled(natural, seed))
                 assert (res.exact, res.nodes) == (want.exact, want.nodes)
 
+    def test_a_natural_row_0_alone_takes_the_map(self, gc64, gc64_exact):
+        # labels 1 and 2 of Gc(6,4) swapped keep row 0, not row 1
+        g = swapped(gc64, 1, 2)
+        assert g.row(0) == gc64.row(0) and hc.hamming_labelling(g.rows())[0] is not None
+        res = dom.exact_gamma_t(g)
+        assert (res.exact, res.nodes) == (gc64_exact.exact, 2782)
+        assert len(res.witness) == 12 and dom.is_total_dominating(g, res.witness)
+
     def test_regular_graphs_that_are_no_hamming_graph(self):
         # 4- and 5-regular on 16 vertices: the degrees of Q_4 and Gc(4,2)
         import networkx as nx
@@ -383,7 +401,7 @@ class TestExactGammaT:
         assert dom.exact_gamma_t(shuffled).nodes == 39
         for other, nodes in ((gc53, 39), (shuffled, 39)):
             g = disjoint_union(gc53, other)
-            assert hc.cube_dimension(g.rows()) == 0
+            assert hc.hamming_labelling(g.rows()) is None
             res = dom.exact_gamma_t(g)
             assert res.exact == 14 and res.nodes == 39 + nodes
             assert dom.is_total_dominating(g, res.witness)
@@ -395,7 +413,7 @@ class TestExactGammaT:
                   random_isolated_free_graphs(count=400, max_m=16, seed=5) if m == 16]
         values = []
         for g in graphs:
-            assert hc.cube_dimension(g.rows()) == 0
+            assert hc.hamming_labelling(g.rows()) is None
             values.append(dom.exact_gamma_t(g).exact)
             assert values[-1] == dom.gamma_t_exhaustive(g)
         assert len(graphs) == 44 and values[9] == 6
@@ -707,78 +725,104 @@ class TestDeadline:
         # the last cut stops inside the orbital search
         assert res.nodes > 1000 and orbit_calls
 
-    def test_symmetry_check_cut_short_claims_no_symmetry(self, clock, monkeypatch):
-        gc64 = hc.build_hamming_graph(6, 4, complemented=True)
-        checks, orbit_calls, transitivity_checks = [], [], []
-        check, orbits = dom.cube_dimension, dom.coordinate_orbits
-
-        def recording_check(rows, expired):
-            start = clock.now
-            n = check(rows, expired)
-            checks.append((start, clock.now, n))
-            return n
-
-        def counting_orbits(cells, order):
-            orbit_calls.append(cells)
-            return orbits(cells, order)
-        monkeypatch.setattr(dom, "cube_dimension", recording_check)
-        monkeypatch.setattr(dom, "coordinate_orbits", counting_orbits)
-        # neither the recognition nor the transitivity check starts after a
-        # cube check: one that finished found Q_6, and one cut short leaves
-        # no time
-        monkeypatch.setattr(dom, "hamming_labelling",
-                            lambda rows, expired: transitivity_checks.append(rows))
-        monkeypatch.setattr(dom, "vertex_transitive",
-                            lambda rows, expired: transitivity_checks.append(rows))
-        clock.now = 0
-        assert dom.exact_gamma_t(gc64, time_limit=1e9).nodes == 2782
-        [(start, end, n)] = checks
-        assert n == 6 and end - start == 63  # one reading per row after row 0
-        for cut, n in ((start + 10, 0), (end + 100, 6)):
-            clock.now = 0
-            checks.clear()
-            orbit_calls.clear()
-            res = dom.exact_gamma_t(gc64, time_limit=cut + 0.5)
-            assert res.status == "bounds_only" and checks[0][2] == n, cut
-            assert bool(orbit_calls) == (n > 0)
-            assert res.upper == len(res.witness) and dom.is_total_dominating(gc64, res.witness)
-        assert transitivity_checks == []
-
-    def test_recognition_cut_short_claims_nothing(self, clock, monkeypatch):
-        g = relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3)
-        checks, transitivity_checks = [], []
-        check, transitive = dom.hamming_labelling, dom.vertex_transitive
+    def recording_labelling(self, clock, monkeypatch):
+        """Record (clock at start, clock at end, claim) of every call to
+        `hamming_labelling`, the claim "natural", "map" or None."""
+        checks = []
+        check = dom.hamming_labelling
 
         def recording_check(rows, expired):
             start = clock.now
             found = check(rows, expired)
-            checks.append((start, clock.now, found is not None))
+            claim = found and ("natural" if found[0] is None else "map")
+            checks.append((start, clock.now, claim))
             return found
-
-        def recording_transitivity(rows, expired):
-            start = clock.now
-            transitivity_checks.append((start, clock.now, transitive(rows, expired)))
-            return transitivity_checks[-1][2]
         monkeypatch.setattr(dom, "hamming_labelling", recording_check)
-        monkeypatch.setattr(dom, "vertex_transitive", recording_transitivity)
+        return checks
+
+    def test_symmetry_check_cut_short_claims_no_symmetry(self, clock, monkeypatch):
+        gc64 = hc.build_hamming_graph(6, 4, complemented=True)
+        orbit_calls, searches, transitivity_checks = [], [], []
+        checks = self.recording_labelling(clock, monkeypatch)
+        orbits = dom.coordinate_orbits
+
+        def counting_orbits(cells, order):
+            orbit_calls.append(cells)
+            return orbits(cells, order)
+        monkeypatch.setattr(dom, "coordinate_orbits", counting_orbits)
+        # natural rows are read as they are: no second graph, no map search;
+        # and the transitivity check starts neither after rows found natural
+        # nor after a check cut short
+        monkeypatch.setattr(hc, "build_hamming_graph", lambda *a: searches.append(a))
+        monkeypatch.setattr(hc, "_maps_onto", lambda *a: searches.append(a))
+        monkeypatch.setattr(dom, "vertex_transitive",
+                            lambda rows, expired: transitivity_checks.append(rows))
+        clock.now = 0
+        assert dom.exact_gamma_t(gc64, time_limit=1e9).nodes == 2782
+        [(start, end, claim)] = checks
+        assert claim == "natural" and end - start == 63  # one reading per row after row 0
+        # the reading that starts the clock is reading 1, so reading cut + 2
+        # is the first late one
+        for cut, want in ((start + 10, (start, start + 12, None)), (end + 100, checks[0])):
+            clock.now = 0
+            checks.clear()
+            orbit_calls.clear()
+            res = dom.exact_gamma_t(gc64, time_limit=cut + 0.5)
+            # cut short, the check stops at its first late reading
+            assert res.status == "bounds_only" and checks == [want], cut
+            assert bool(orbit_calls) == (want[2] == "natural")
+            assert res.upper == len(res.witness) and dom.is_total_dominating(gc64, res.witness)
+        assert searches == transitivity_checks == []
+
+    def test_recognition_cut_short_claims_nothing(self, clock, monkeypatch):
+        g = relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3)
+        transitivity_checks = []
+        checks = self.recording_labelling(clock, monkeypatch)
+        monkeypatch.setattr(dom, "vertex_transitive",
+                            lambda rows, expired: transitivity_checks.append(rows))
         clock.now = 0
         assert dom.exact_gamma_t(g, time_limit=1e9).nodes == 39
-        [(start, end, found)] = checks
-        assert found and end - start > 50  # one reading per refinement step
-        assert transitivity_checks == []
+        # a map onto the natural rows, and then, in the search on those
+        # rows, their check: one reading per row after row 0
+        [(start, end, claim), (natural_start, natural_end, natural)] = checks
+        assert (claim, natural) == ("map", "natural") and natural_end - natural_start == 31
+        assert end - start > 50  # one reading before the build, one per refinement step
         for cut in range(start - 1, end - 1, 7):
             clock.now = 0
             checks.clear()
             res = dom.exact_gamma_t(g, time_limit=cut + 0.5)
             # the recognition stops at its first late reading and claims
-            # nothing; the transitivity check shares its clock, so it gives
-            # up without a reading; the search without symmetry stops at its
-            # first node, then the last reading for elapsed_s
-            assert checks == [(start, cut + 2, False)], cut
-            assert transitivity_checks[-1] == (cut + 2, cut + 2, False)
+            # nothing; the search without symmetry stops at its first node,
+            # then the last reading for elapsed_s
+            assert checks == [(start, cut + 2, None)], cut
             assert res.status == "bounds_only" and res.nodes == 1
             assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
             assert clock.now == cut + 2 + 1 + 1
+        # no transitivity check, after a map found or a recognition cut short
+        assert transitivity_checks == []
+
+    def test_no_graph_is_built_once_the_clock_is_late(self, clock, monkeypatch):
+        # the recognition reads the clock once before it builds the natural
+        # graph, so a deadline that passes in the split or the greedy
+        # builds nothing
+        g = relabelled(hc.build_hamming_graph(5, 3, complemented=True), 3)
+        built = []
+        build = hc.build_hamming_graph
+
+        def recording_build(*args):
+            built.append(clock.now)
+            return build(*args)
+        monkeypatch.setattr(hc, "build_hamming_graph", recording_build)
+        clock.now = 0
+        assert dom.exact_gamma_t(g, time_limit=1e9).exact == 7
+        [reading] = built  # the clock when the natural Gc(5,3) is built
+        for cut in range(reading - 1):  # reading cut + 2 is the first late one
+            clock.now = 0
+            built.clear()
+            res = dom.exact_gamma_t(g, time_limit=cut + 0.5)
+            assert built == [], cut
+            assert res.status == "bounds_only"
+            assert res.upper == len(res.witness) and dom.is_total_dominating(g, res.witness)
 
     def test_transitivity_check_cut_short_claims_nothing(self, clock, monkeypatch):
         # Gc(5,3)'s degree: the recognition runs first and finds no map

@@ -11,7 +11,7 @@ from vrhq import bitops, bounds, hypercube as hc
 from vrhq.errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 from tests.oracles import dimacs_text, is_vertex_transitive
-from tests.test_domination import hamming_graphs, relabelled
+from tests.test_domination import hamming_graphs, relabelled, swapped
 
 labels64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -119,21 +119,6 @@ class TestBuildHammingGraph:
         with pytest.raises(ValueError):
             hc.build_hamming_graph(3, -1)
 
-    def test_cube_dimension(self):
-        for n in range(1, 9):
-            for r in range(n + 1):
-                for complemented in (False, True):
-                    g = hc.build_hamming_graph(n, r, complemented=complemented)
-                    assert hc.cube_dimension(g.rows()) == n, (n, r, complemented)
-        assert hc.cube_dimension([]) == hc.cube_dimension([0]) == 0
-        assert hc.cube_dimension(figure_graph().rows()) == 0  # m is not a power of two
-        # row 0 of the 4-cycle 0-1-2-3 is not a union of weight classes;
-        # row 0 of the path 1-0-2-3 is, but row 1 is not its translate
-        for edges in ([(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (0, 2), (2, 3)]):
-            assert hc.cube_dimension(hc.Graph.from_edges(4, edges).rows()) == 0
-        gc = hc.build_hamming_graph(3, 1, complemented=True)
-        assert hc.cube_dimension(gc.rows(), expired=lambda: True) == 0
-
 
 def cycle(m):
     return hc.Graph.from_edges(m, [(v, (v + 1) % m) for v in range(m)])
@@ -234,10 +219,30 @@ class TestHammingLabelling:
         for v in range(g.m):
             assert sum(1 << perm[u] for u in bitops.iter_bits(g.row(v))) == rows[perm[v]]
 
+    def test_natural_labellings_are_read_off_the_rows(self, monkeypatch):
+        # G(n,n) is Gc(n,0), the complete graph, and Gc(n,n) is G(n,0), the
+        # empty one: both are in their natural labelling too
+        graphs = {(n, r, complemented): hc.build_hamming_graph(n, r, complemented)
+                  for n in range(1, 9) for r in range(n + 1) for complemented in (False, True)}
+        searched = []
+        monkeypatch.setattr(hc, "build_hamming_graph", lambda *a: searched.append(a))
+        monkeypatch.setattr(hc, "_maps_onto", lambda *a: searched.append(a))
+        for key, g in graphs.items():
+            assert hc.hamming_labelling(g.rows()) == (None, None), key
+        assert searched == []  # no second graph and no map search
+        assert hc.hamming_labelling([]) is None
+        assert hc.hamming_labelling([0]) is None
+        assert hc.hamming_labelling(graphs[3, 1, True].rows(), expired=lambda: True) is None
+        assert searched == []
+
     def test_relabelled_hamming_graphs_are_recognised(self):
         for natural in hamming_graphs(6):
             for seed in (1, 2):
-                self.assert_labelling(relabelled(natural, seed).rows(), natural)
+                rows = relabelled(natural, seed).rows()
+                if rows == natural.rows():  # the shuffle is an automorphism
+                    assert hc.hamming_labelling(rows) == (None, None)
+                else:
+                    self.assert_labelling(rows, natural)
 
     def test_other_constructions_of_hamming_graphs(self):
         import networkx as nx
@@ -249,11 +254,26 @@ class TestHammingLabelling:
         h = nx.convert_node_labels_to_integers(
             nx.cartesian_product(nx.cycle_graph(4), nx.cycle_graph(4)))
         self.assert_labelling(hc.Graph.from_edges(16, h.edges()).rows(), q4)
+        # the 4-cycle 0-1-2-3 is Q_2
+        self.assert_labelling(cycle(4).rows(), hc.build_hamming_graph(2, 1))
+        # labels 1 and 2 of Gc(6,4) swapped: both are non-neighbours of 0,
+        # so row 0 is the natural one, but row 1 is no translate of it
+        gc64 = hc.build_hamming_graph(6, 4, complemented=True)
+        rows = swapped(gc64, 1, 2).rows()
+        assert rows[0] == gc64.row(0) and rows != gc64.rows()
+        self.assert_labelling(rows, gc64)
 
-    def test_other_graphs_are_not_recognised(self):
+    def test_other_graphs_are_not_recognised(self, monkeypatch):
         assert hc.hamming_labelling(cycle(12).rows()) is None  # 12 is no power of 2
-        assert hc.hamming_labelling(figure_graph().rows()) is None  # irregular
+        assert hc.hamming_labelling(figure_graph().rows()) is None  # 3 is no power of 2
         assert hc.hamming_labelling(cycle(8).rows()) is None  # no G(3,r) is 2-regular
+        # the path 1-0-2-3 has Q_2's natural row 0, but it is not regular,
+        # so no Q_2 is built to map from
+        path = hc.Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
+        assert path.row(0) == hc.build_hamming_graph(2, 1).row(0)
+        built = []
+        monkeypatch.setattr(hc, "build_hamming_graph", lambda *a: built.append(a))
+        assert hc.hamming_labelling(path.rows()) is None and built == []
 
 
 class TestGraph:
