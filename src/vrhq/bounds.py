@@ -23,7 +23,7 @@ r_max = R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .errors import DegenerateScale
@@ -54,19 +54,19 @@ def tail_degree(n: int, r: int) -> int:
     return walked if steps == r else (1 << n) - walked
 
 
-@dataclass(frozen=True)
-class ExactRatio:
-    """A non-negative rational, stored unreduced as computed; instances
-    compare field by field, so ExactRatio(64, 8) != ExactRatio(8, 1)."""
+class ExactRatio(namedtuple("ExactRatio", "numerator denominator")):
+    """A non-negative rational, stored unreduced as computed.  Instances are
+    immutable tuples (numerator, denominator) and compare field by field,
+    so ExactRatio(64, 8) != ExactRatio(8, 1)."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.denominator <= 0:
+    def __new__(cls, numerator: int, denominator: int):
+        if denominator <= 0:
             raise ValueError("denominator must be positive")
-        if self.numerator < 0:
+        if numerator < 0:
             raise ValueError("numerator must be non-negative")
+        return super().__new__(cls, numerator, denominator)
 
     @property
     def is_integer(self) -> bool:

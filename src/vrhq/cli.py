@@ -7,18 +7,18 @@ that failed the check made before it is printed, a bug; exit 2 bad usage or
 violated preconditions, exit 3 ingestion/parse failures, exit 4 resource
 caps.  A command line that argparse rejects prints no envelope, only its
 usage message on stderr.  Caps are configurable, flags taking precedence
-over VRHQ_* environment variables over built-in defaults.
+over VRHQ_* environment variables over built-in defaults.  Each handler
+imports the layers it calls, so a run loads only its subcommand's code.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import math
 import os
 import time
 
-from . import __version__, bounds, complexes, domination, homology, hypercube
+from . import __version__
 from .errors import (DegenerateScale, DimensionOutOfRange, DimensionTooLarge,
                      DuplicateVertex, IsolatedVertex, OddCount, ParseError,
                      SelfCheckFailed, TooLarge, TruncationTooShallow)
@@ -148,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bound(args):
+    from . import bounds, hypercube
     hypercube.validate_pair(args.n, args.r)
     if args.r >= args.n:
         # the full simplex on 2^n vertices: no bound to round
@@ -171,6 +172,7 @@ def _cmd_bound(args):
 
 
 def _cmd_table(args):
+    from . import bounds
     if args.paper:
         if args.n_max is not None or args.r_max is not None:
             raise ValueError("--paper excludes --n-max/--r-max")
@@ -186,6 +188,7 @@ def _cmd_table(args):
 
 
 def _cmd_counterexamples(args):
+    from . import bounds
     pairs = bounds.counterexample_scan(args.n_max)
     return {"n_max": args.n_max,
             "pairs": [{"n": n, "r": r, "connectivity": c} for n, r, c in pairs]}
@@ -195,12 +198,14 @@ def _dimacs_graph(m, edges):
     """The graph of a checked DIMACS file.  An edge covers two vertices, so
     fewer than m / 2 edges leave one isolated: that ends gamma-t here,
     before any list is sized by m."""
+    from . import domination, hypercube
     if 2 * len(edges) < m:
         raise IsolatedVertex(domination.UNDEFINED_ON_ISOLATED)
     return hypercube.Graph.from_edges(m, edges)
 
 
 def _load_gamma_t_graph(args):
+    from . import hypercube
     if args.dimacs is not None:
         if args.n is not None or args.r is not None:
             raise ValueError("--dimacs excludes --n/--r")
@@ -218,6 +223,7 @@ def _load_gamma_t_graph(args):
 
 
 def _cmd_gamma_t(args):
+    from . import domination
     if args.exhaustive and args.time_limit is not None:
         raise ValueError("--exhaustive excludes --time-limit")
     g, info = _load_gamma_t_graph(args)
@@ -233,6 +239,7 @@ def _cmd_gamma_t(args):
 
 
 def _cmd_complex(args):
+    from . import complexes
     cap = _resolve_cap(args.max_simplices, "--max-simplices", "VRHQ_MAX_SIMPLICES",
                        complexes.DEFAULT_MAX_SIMPLICES)
     k = complexes.vietoris_rips(args.n, args.r, args.max_dim, max_simplices=cap)
@@ -244,6 +251,7 @@ def _cmd_complex(args):
 
 
 def _cmd_homology(args):
+    from . import complexes, homology
     if args.up_to < 0:
         raise ValueError("--up-to must be >= 0")
     snf_cap = None  # the integer pipeline's cap; GF(2) takes none
@@ -273,6 +281,7 @@ def _cmd_homology(args):
 
 
 def _cmd_witness(args):
+    from . import complexes
     report = complexes.cross_polytope_witness_check(args.n, args.r, args.vertices)
     return {"n": args.n, "r": args.r, "vertices": list(args.vertices),
             "is_matching_complement": report.is_matching_complement,
@@ -294,6 +303,13 @@ _HANDLERS = {
 }
 
 
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601, always with microseconds and +00:00."""
+    micros = time.time_ns() // 1000
+    seconds = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(micros // 1_000_000))
+    return f"{seconds}.{micros % 1_000_000:06d}+00:00"
+
+
 def _params_of(args):
     skip = {"command", "format"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -306,7 +322,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    started = _utc_now()
     t0 = time.monotonic()
     result = None
     status = "ok"

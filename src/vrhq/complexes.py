@@ -10,7 +10,7 @@ dimension, which keeps boundary matrices reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
                      TooLarge)
@@ -121,9 +121,11 @@ def vietoris_rips(n: int, r: int, max_dim: int,
     return SimplicialComplex(g.m, max_dim, by_dim)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Cross-polytope pattern diagnostics for a candidate vertex set.
+class WitnessReport(namedtuple("WitnessReport", (
+        "is_matching_complement", "is_cross_polytope_boundary",
+        "is_total_dominating_in_complement", "missing_pairs", "recovered_pairs"))):
+    """Cross-polytope pattern diagnostics for a candidate vertex set, an
+    immutable tuple of the five fields below.
 
     is_matching_complement: the far pairs (distance >= r + 1) are pairwise
     disjoint, i.e. the set carries a matching in the complement graph.
@@ -133,13 +135,11 @@ class WitnessReport:
     predicate, independently of the pattern bits.
     missing_pairs: pairs violating the pattern; a degenerate (u, u) entry
     marks a vertex with no far partner.
+    recovered_pairs: the far pairs, sorted, when the pattern holds; else
+    empty.  Both pair fields are tuples of (int, int) tuples.
     """
 
-    is_matching_complement: bool
-    is_cross_polytope_boundary: bool
-    is_total_dominating_in_complement: bool
-    missing_pairs: tuple[tuple[int, int], ...]
-    recovered_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def cross_polytope_witness_check(n: int, r: int, vertices) -> WitnessReport:

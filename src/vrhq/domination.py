@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bitops import dense_bits, iter_bits, mask_of
 from .errors import IsolatedVertex, SelfCheckFailed, TooLarge
@@ -123,11 +123,12 @@ def greedy_upper_bound(g: Graph, deadline: float | None = None) -> frozenset[int
     return frozenset(dense_bits(chosen))
 
 
-@dataclass(frozen=True)
-class DominationResult:
-    """Outcome of the exact solver: proven bounds lower <= gamma_t <= upper
-    and a total dominating set of size `upper`, which `exact_gamma_t`
-    checks with `is_total_dominating` before it returns.
+class DominationResult(namedtuple("DominationResult",
+                                  "lower upper witness nodes elapsed_s")):
+    """Outcome of the exact solver, an immutable tuple: proven bounds
+    lower <= gamma_t <= upper and a total dominating set `witness` (a
+    frozenset) of size `upper`, which `exact_gamma_t` checks with
+    `is_total_dominating` before it returns.
 
     The bounds are the only record of how far the solve got: `status` is
     "exact" and `exact` is the value when they meet, whether or not the
@@ -137,15 +138,13 @@ class DominationResult:
     where its search was cut short, its ceil(m_i / Delta_i).
     """
 
-    lower: int
-    upper: int
-    witness: frozenset[int]
-    nodes: int = 0
-    elapsed_s: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __new__(cls, lower: int, upper: int, witness: frozenset[int], nodes: int = 0,
+                elapsed_s: float = 0.0):
+        if lower > upper:
             raise ValueError("lower bound exceeds upper bound")
+        return super().__new__(cls, lower, upper, witness, nodes, elapsed_s)
 
     @property
     def status(self) -> str:
@@ -308,8 +307,9 @@ def _search(g: Graph, deadline):
     which candidates to branch over.
 
     A set-up phase under the deadline asks `hamming_labelling(rows)`
-    whether g is some G_{n,r} or complement.  When g is one in its natural
-    labelling, the automorphisms of Q_n preserve g:
+    whether g is some G_{n,r} or complement.  When g is a Cayley graph of
+    Z_2^n on a union of weight classes in Q_n's labelling, these two among
+    them, the automorphisms of Q_n preserve g:
     the translations let the root fix vertex 0, and the coordinate
     permutations are the symmetries left.  The search then branches on
     orbits (orbital branching, Ostrowski,
@@ -330,11 +330,12 @@ def _search(g: Graph, deadline):
     lies in child i's subtree.  Once every cell is a single coordinate, or
     with no symmetry, the orbits are single vertices.
 
-    When it finds a map, checked on every row, from that natural labelling
-    onto g, `_search` runs on the natural rows, as above, and its witness
-    is mapped back.  When it finds nothing and was not cut short, the phase
-    goes on to ask `vertex_transitive`, true only once automorphisms it has
-    checked put every vertex in vertex 0's orbit; then the root fixes
+    When it finds a map, checked on every row, from the natural labelling
+    of G_{n,r} or its complement onto g, `_search` runs on the natural
+    rows, as above, and its witness is mapped back.  When it finds nothing
+    and was not cut short, the phase goes on to ask `vertex_transitive`,
+    true only once automorphisms it has checked put every vertex in vertex
+    0's orbit; then the root fixes
     vertex 0 as on Q_n, with no cells below it: a minimum set S is not
     empty, and some automorphism maps a member of S to 0, so the image of S
     is a minimum set that holds 0.  Both checks read one `_Expiry`, and a
@@ -413,7 +414,8 @@ def exact_gamma_t(g: Graph, time_limit: float | None = None) -> DominationResult
     incumbent.  A prune cuts only subtrees with no set smaller than the
     incumbent, so the incumbent changes at the same leaves however strong
     the bound is, and a stronger prune changes `nodes` but never the value
-    or the witness.  On G_{n,r} or its complement in its natural labelling
+    or the witness.  On G_{n,r}, its complement or any Cayley graph of
+    Z_2^n on a union of weight classes, in Q_n's labelling
     (`hamming_labelling`), the root fixes vertex 0 and the search branches
     on orbits of the coordinate permutations (see `_search`).  A relabelled
     one is solved in its natural labelling, in as many nodes, and its

@@ -26,7 +26,7 @@ the complex was built to is TruncationTooShallow, never a silent zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, compress
 from math import gcd
 
@@ -36,18 +36,17 @@ from .errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 DEFAULT_SNF_CAP = 5000
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """The boundary operator from p-chains to (p-1)-chains.
+class BoundaryMatrix(namedtuple("BoundaryMatrix", "n_rows columns")):
+    """The boundary operator from p-chains to (p-1)-chains, an immutable
+    tuple (n_rows, columns).
 
-    Stored sparsely: one tuple of row indices per column, rows indexed by
-    the order of the (p-1)-simplices in the complex.  Entry t is the facet
-    that omits vertex t of the column's simplex; its sign (-1)^t is implied
-    by the position.
+    Stored sparsely: `columns` holds one tuple of row indices per column,
+    rows indexed by the order of the (p-1)-simplices in the complex.  Entry
+    t is the facet that omits vertex t of the column's simplex; its sign
+    (-1)^t is implied by the position.
     """
 
-    n_rows: int
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def gf2_columns(self, skip=frozenset(), drop=frozenset()) -> Gf2Columns:
         """The GF(2) columns left after leaving out the column indices in skip.
@@ -184,18 +183,17 @@ def gf2_rank(columns, positions=None) -> int:
     return len(_gf2_pivots(columns, positions))
 
 
-@dataclass(frozen=True)
-class BettiProfile:
-    """Reduced Betti numbers beta~_0..beta~_truncation_dim.
+class BettiProfile(namedtuple("BettiProfile",
+                              "reduced_betti coefficient_field truncation_dim torsion",
+                              defaults=(None,))):
+    """Reduced Betti numbers beta~_0..beta~_truncation_dim, an immutable
+    tuple of the four fields, reduced_betti a tuple of ints.
 
     Over the integers, torsion[i] lists the invariant factors > 1 of the
-    degree-i homology group; over GF(2) torsion is None.
+    degree-i homology group, a tuple of tuples; over GF(2) torsion is None.
     """
 
-    reduced_betti: tuple[int, ...]
-    coefficient_field: str
-    truncation_dim: int
-    torsion: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -109,9 +109,10 @@ def _translated(rows, v: int, patterns) -> int:
     return ((row & p) << low) | ((row >> low) & p)
 
 
-def _hamming_row(n: int, r: int, complemented: bool) -> int:
-    """Row 0 of G_{n,r} (distance <= r) or its complement (distance >= r+1)."""
-    return mask_of(w for w in range(1, 1 << n) if (w.bit_count() > r) == complemented)
+def _weight_row(n: int, weights) -> int:
+    """Row 0 of the Cayley graph of Z_2^n on the nonzero words whose
+    Hamming weight is in `weights`."""
+    return mask_of(w for w in range(1, 1 << n) if w.bit_count() in weights)
 
 
 def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
@@ -127,7 +128,7 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
             f"n = {n} exceeds the materialization ceiling {MATERIALIZE_CEILING}; "
             "use hamming_distance() for implicit queries")
     patterns = _halfspace_patterns(n)
-    rows = [_hamming_row(n, r, complemented)]
+    rows = [_weight_row(n, range(r + 1, n + 1) if complemented else range(1, r + 1))]
     for v in range(1, 1 << n):
         rows.append(_translated(rows, v, patterns))
     return Graph(rows, validate=False)
@@ -327,32 +328,34 @@ def vertex_transitive(rows, expired=None) -> bool:
 
 
 def hamming_labelling(rows, expired=None):
-    """(None, None) when these rows are G = G_{n,r} or its complement as
-    `build_hamming_graph` labels it: row 0 is G's, and each row v is row 0
-    XOR-translated by v (`_translated`).  Otherwise (G, perm) when they
-    are G relabelled by perm, checked on every row: perm[v] plays vertex v
-    of G, and `_maps_onto` finds it from G's vertex 0 onto vertex 0 here
-    (enough, G being vertex-transitive); rows that are not regular have no
-    map.  Only one G on m = 2^n vertices has the degree of row 0.
-    `expired`, if given, is called before each row v is compared and
-    before G is built, and by `_maps_onto`; None, also once it is true,
-    claims nothing."""
+    """(None, None) when these rows are a Cayley graph of Z_2^n on a union
+    of Hamming weight classes, as `build_hamming_graph` labels G_{n,r} and
+    its complement: row 0 is a union of weight classes, and each row v is
+    row 0 XOR-translated by v (`_translated`).  Coordinate permutations and
+    translations preserve such a graph.  Otherwise (G, perm) when the rows
+    are G = G_{n,r} or its complement relabelled by perm, checked on every
+    row: perm[v] plays vertex v of G, and `_maps_onto` finds it from G's
+    vertex 0 onto vertex 0 here (enough, G being vertex-transitive); rows
+    that are not regular have no map.  Only one G on m = 2^n vertices has
+    the degree of row 0.  `expired`, if given, is called before each row v
+    is compared and before G is built, and by `_maps_onto`; None, also once
+    it is true, claims nothing."""
     expired = expired or (lambda: False)
     m = len(rows)
     if m < 2 or m & (m - 1):
         return None
     n = m.bit_length() - 1
+    patterns = _halfspace_patterns(n)
+    if rows[0] == _weight_row(n, {w.bit_count() for w in iter_bits(rows[0])}) and all(
+            not expired() and rows[v] == _translated(rows, v, patterns)
+            for v in range(1, m)):
+        return None, None
     degree = rows[0].bit_count()
     for r in range(n):
         below = sum(math.comb(n, d) for d in range(1, r + 1))
         for complemented in (False, True):
             if (m - 1 - below if complemented else below) != degree:
                 continue
-            patterns = _halfspace_patterns(n)
-            if rows[0] == _hamming_row(n, r, complemented) and all(
-                    not expired() and rows[v] == _translated(rows, v, patterns)
-                    for v in range(1, m)):
-                return None, None
             if expired() or any(row.bit_count() != degree for row in rows):
                 return None
             g = build_hamming_graph(n, r, complemented)

@@ -8,7 +8,6 @@ JSON always carries the whole envelope.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -117,6 +116,7 @@ def encode(envelope, fmt: str) -> str:
         return json.dumps(envelope, indent=2) + "\n"
     headers, rows = _PROJECTIONS[envelope["command"]](envelope["result"])
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)

@@ -1,4 +1,5 @@
 import argparse
+import datetime
 import json
 import os
 import pathlib
@@ -80,6 +81,17 @@ class TestBound:
         _, b = run_json(capsys, "bound", "--n", "9", "--r", "7")
         del a["provenance"]["wall_clock"], b["provenance"]["wall_clock"]
         assert a == b
+
+    def test_started_utc_is_the_start_time_in_utc(self, capsys):
+        before = datetime.datetime.now(datetime.timezone.utc)
+        _, env = run_json(capsys, "bound", "--n", "9", "--r", "7")
+        after = datetime.datetime.now(datetime.timezone.utc)
+        text = env["provenance"]["wall_clock"]["started_utc"]
+        # always six fraction digits, even at a whole second
+        assert len(text) == len("2026-01-01T00:00:00.000000+00:00") and text[19] == "."
+        started = datetime.datetime.fromisoformat(text)
+        assert started.utcoffset() == datetime.timedelta(0)
+        assert before <= started <= after
 
 
 class TestTable:
@@ -231,7 +243,7 @@ class TestGammaT:
     def test_memory_error_exits_4(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(cli.hypercube, "build_hamming_graph", exhausted)
+        monkeypatch.setattr(hypercube, "build_hamming_graph", exhausted)
         code, env = run_json(capsys, "gamma-t", "--n", "17", "--r", "9")
         assert code == 4
         assert env["result"] is None
@@ -751,8 +763,8 @@ class TestResourceContract:
 
         def refuse(*args, **kwargs):
             raise AssertionError("a graph was built")
-        monkeypatch.setattr(cli.hypercube.Graph, "from_edges", refuse)
-        monkeypatch.setattr(cli.hypercube.Graph, "__init__", refuse)
+        monkeypatch.setattr(hypercube.Graph, "from_edges", refuse)
+        monkeypatch.setattr(hypercube.Graph, "__init__", refuse)
         code, env = run_json(capsys, "gamma-t", "--dimacs", str(path))
         assert code == 2
         assert env["status"] == {

@@ -66,6 +66,21 @@ def cayley_not_hamming():
                                     for s in (1, 2, 4, 8, 16, 3) if v < v ^ s})
 
 
+def weight_class_graph(n, weights):
+    """The Cayley graph of Z_2^n on the nonzero words whose Hamming weight is
+    in `weights`, in Q_n's labelling: G(n,r) on weights 1..r, Gc(n,r) on
+    r+1..n."""
+    return hc.Graph.from_edges(1 << n, {(v, v ^ s) for v in range(1 << n)
+                                        for s in range(1, 1 << n)
+                                        if s.bit_count() in weights and v < v ^ s})
+
+
+def weight_sets(n):
+    """Every nonempty set of weights 1..n."""
+    return [set(ws) for k in range(1, n + 1)
+            for ws in itertools.combinations(range(1, n + 1), k)]
+
+
 def disjoint_union(*graphs):
     rows, offset = [], 0
     for g in graphs:
@@ -315,6 +330,29 @@ class TestExactGammaT:
         assert not hc.vertex_transitive(rows)
         res = dom.exact_gamma_t(hc.Graph(rows))
         assert res.exact == 12 and res.nodes == 48540
+
+    def test_weight_class_cayley_graphs_take_orbital_branching(self):
+        # weights other than a ball or its complement: Q_n's coordinate
+        # permutations preserve these graphs as well, and with root fixing
+        # alone they took 3,516 and 127 nodes
+        for weights, value, nodes in (({3, 6}, 6, 79), ({1, 5}, 8, 14)):
+            g = weight_class_graph(6, weights)
+            assert hc.hamming_labelling(g.rows()) == (None, None)
+            res = dom.exact_gamma_t(g)
+            assert (res.exact, res.nodes) == (value, nodes)
+            assert len(res.witness) == value and dom.is_total_dominating(g, res.witness)
+            assert reference_gamma_t(g.rows(), True)[0] == value
+
+    def test_weight_class_cayley_graphs_match_the_oracles(self):
+        graphs = [weight_class_graph(n, weights) for n in (4, 5) for weights in weight_sets(n)]
+        for g in graphs:
+            res = dom.exact_gamma_t(g)
+            if g.m == 16:
+                assert res.exact == dom.gamma_t_exhaustive(g)
+            if is_connected(g):
+                value, _, nodes = reference_gamma_t(g.rows(), True)
+                assert res.exact == value and res.nodes <= nodes
+            assert len(res.witness) == res.exact and dom.is_total_dominating(g, res.witness)
 
     def test_matches_milp_oracle(self, relabelled_gc64, relabelled_gc64_exact):
         pytest.importorskip("scipy.optimize")

@@ -11,7 +11,8 @@ from vrhq import bitops, bounds, hypercube as hc
 from vrhq.errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 from tests.oracles import dimacs_text, is_vertex_transitive
-from tests.test_domination import hamming_graphs, relabelled, swapped
+from tests.test_domination import (hamming_graphs, relabelled, swapped, weight_class_graph,
+                                   weight_sets)
 
 labels64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -235,6 +236,15 @@ class TestHammingLabelling:
         assert hc.hamming_labelling(graphs[3, 1, True].rows(), expired=lambda: True) is None
         assert searched == []
 
+    def test_weight_class_cayley_graphs_are_read_off_the_rows(self, monkeypatch):
+        # any union of weight classes, not only a ball or its complement
+        graphs = [weight_class_graph(n, weights) for n in range(1, 7) for weights in weight_sets(n)]
+        searched = []
+        monkeypatch.setattr(hc, "build_hamming_graph", lambda *a: searched.append(a))
+        monkeypatch.setattr(hc, "_maps_onto", lambda *a: searched.append(a))
+        assert all(hc.hamming_labelling(g.rows()) == (None, None) for g in graphs)
+        assert searched == []
+
     def test_relabelled_hamming_graphs_are_recognised(self):
         for natural in hamming_graphs(6):
             for seed in (1, 2):
@@ -246,10 +256,13 @@ class TestHammingLabelling:
 
     def test_other_constructions_of_hamming_graphs(self):
         import networkx as nx
-        # the folded 5-cube, Q_4 and its antipodal edges, is Gc(4,2)
+        # the folded 5-cube, Q_4 and its antipodal edges, is Gc(4,2); in Q_4's
+        # labelling it is the Cayley graph on weights 1 and 4, read as it is,
+        # and relabelled it is mapped onto Gc(4,2)
         q4 = hc.build_hamming_graph(4, 1)
         folded = hc.Graph([row | 1 << (v ^ 15) for v, row in enumerate(q4.rows())])
-        self.assert_labelling(folded.rows(), hc.build_hamming_graph(4, 2, True))
+        assert hc.hamming_labelling(folded.rows()) == (None, None)
+        self.assert_labelling(relabelled(folded, 1).rows(), hc.build_hamming_graph(4, 2, True))
         # C4 x C4 is Q_4
         h = nx.convert_node_labels_to_integers(
             nx.cartesian_product(nx.cycle_graph(4), nx.cycle_graph(4)))

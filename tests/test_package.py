@@ -1,17 +1,73 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import vrhq
 
 
 def test_all_exports_resolve():
-    # a deletion must take its export with it
+    # a deletion must take its export with it; exports and layer modules
+    # resolve on first access
     missing = [name for name in vrhq.__all__ if not hasattr(vrhq, name)]
     assert missing == []
+    namespace = {}
+    exec("from vrhq import *", namespace)
+    assert len(vrhq.__all__) == 34
+    assert {name for name in namespace if name != "__builtins__"} == set(vrhq.__all__)
+    assert set(vrhq.__all__) <= set(dir(vrhq))
+    with pytest.raises(AttributeError):
+        vrhq.no_such_name
+    assert getattr(vrhq, "homology") is sys.modules["vrhq.homology"]
+    assert vrhq.ExactRatio is sys.modules["vrhq.bounds"].ExactRatio
 
 
 def test_all_has_no_duplicates():
     assert len(vrhq.__all__) == len(set(vrhq.__all__))
+
+
+# Runs `vrhq ARGV` in a fresh interpreter and prints the modules that the
+# import of vrhq.cli and the run added, whatever `site` loaded before.
+LAUNCH = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    from vrhq.cli import main
+    main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+LAUNCHED = {"vrhq", "vrhq.cli", "vrhq.errors", "vrhq.render"}
+BOUNDS = LAUNCHED | {"vrhq.bounds", "vrhq.hypercube", "vrhq.bitops"}
+COMPLEXES = LAUNCHED | {"vrhq.complexes", "vrhq.hypercube", "vrhq.bitops"}
+LAUNCHES = [
+    (["--version"], LAUNCHED),
+    (["bound", "--n", "5", "--r", "2"], BOUNDS),
+    (["table", "--n-max", "4", "--format", "csv"], BOUNDS),
+    (["counterexamples", "--n-max", "8", "--format", "md"], BOUNDS),
+    (["gamma-t", "--n", "4", "--r", "2"],
+     LAUNCHED | {"vrhq.domination", "vrhq.hypercube", "vrhq.bitops"}),
+    (["complex", "--n", "3", "--r", "1", "--max-dim", "2", "--out", "k.txt"], COMPLEXES),
+    (["homology", "--n", "4", "--r", "2", "--up-to", "3", "--format", "csv"],
+     COMPLEXES | {"vrhq.homology"}),
+    (["witness", "--n", "3", "--r", "1", "--vertices", "0,7,3,4"], COMPLEXES),
+]
+
+
+@pytest.mark.parametrize("argv, layers", LAUNCHES,
+                         ids=[argv[0].lstrip("-") for argv, _ in LAUNCHES])
+def test_a_launch_imports_only_what_its_subcommand_runs(argv, layers, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(vrhq.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", LAUNCH, *argv], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(json.loads(child.stdout))
+    assert {name for name in loaded if name.startswith("vrhq")} == layers
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    assert loaded.isdisjoint({"dataclasses", "inspect", "datetime"})
+    assert ("csv" in loaded) == ("csv" in argv)
 
 
 def _private(name):
