@@ -1,22 +1,27 @@
 """Simplicial reduced homology of truncated complexes.
 
-The default detector works over GF(2): ranks come from Gaussian elimination
-on sparse columns, which is orders of magnitude faster than integer
-reduction.  A column whose leading row is new becomes a pivot as it is; the
-rest are packed into integer bitsets and reduced once all those are in.
-Clear and compress (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014) shrink
-every matrix before it is reduced.  Clearing: a column of d_p that is the
-lexicographically largest facet of some (p+1)-simplex is dropped, because
-dd = 0 makes it the GF(2) sum of the simplex's other facets, all smaller;
-the top degree has no cofaces built and keeps all its columns.
-Compression: every degree, the top one included, drops the rows that are
-pivot columns of the degree below and numbers the rest densely, so a packed
-column is only as wide as the rows left.  Each elimination stops at as many
-pivots as rows.  An exact integer pipeline via Smith normal form gives free
-ranks and torsion: one sparse elimination takes the columns in order and
-pivots each at its entry of least absolute value, a +-1 wherever the column
-has one.  Its size cap bounds the rows and columns of each boundary matrix
-and is checked against the f-vector before any matrix is built.
+The default detector works over GF(2), and it ranks a small Morse complex,
+not the boundary matrices.  A lexicographic discrete gradient (Forman,
+*Adv. Math.* 1998) pairs a cell sigma with (h,) + sigma, where h is the
+least vertex that extends sigma to a simplex, whenever h < sigma[0]: these
+are Ripser's apparent pairs (Bauer, *J. Appl. Comput. Topol.* 2021), read
+off each dimension's cofaces by their tails in one dict pass.  Along a
+gradient path the first vertex falls strictly, so the matching is acyclic.
+The Morse boundary of a critical cell follows its gradient paths, summed
+in one pass over the paired cells in order of their first vertex, and
+rank d_p = pairs_p + rank of the Morse boundary in degree p.  The ranks
+come from Gaussian elimination on sparse columns: a column whose leading
+row is new becomes a pivot as it is, and the rest are packed into integer
+bitsets and reduced once all those are in.
+
+An exact integer pipeline via Smith normal form gives free ranks and
+torsion.  It still ranks the full boundary matrices: one sparse
+elimination takes the columns in order and pivots each at its entry of
+least absolute value, a +-1 wherever the column has one.  Its size cap
+bounds the rows and columns of each boundary matrix and is checked
+against the f-vector before any matrix is built.  The same gradient would
+serve it, since a pair's incidence is +-1, once the Morse boundary carries
+signs and the cap is restated on the Morse complex.
 
 Reduced homology uses the augmentation map as the dimension-0 boundary, so
 beta~_0 = components - 1 falls out of the same code path as every other
@@ -27,9 +32,12 @@ the complex was built to is TruncationTooShallow, never a silent zero.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import combinations, compress
 from math import gcd
+from operator import itemgetter, xor
 
+from .bitops import iter_bits, mask_of
 from .complexes import SimplicialComplex
 from .errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
@@ -37,29 +45,21 @@ DEFAULT_SNF_CAP = 5000
 
 
 class BoundaryMatrix(namedtuple("BoundaryMatrix", "n_rows columns")):
-    """The boundary operator from p-chains to (p-1)-chains, an immutable
-    tuple (n_rows, columns).
+    """A sparse matrix with n_rows rows, an immutable tuple (n_rows, columns).
 
-    Stored sparsely: `columns` holds one tuple of row indices per column,
-    rows indexed by the order of the (p-1)-simplices in the complex.  Entry
-    t is the facet that omits vertex t of the column's simplex; its sign
-    (-1)^t is implied by the position.
+    `columns` holds one tuple of row indices per column.  From
+    `boundary_matrix` it is the operator from p-chains to (p-1)-chains,
+    rows indexed by the order of the (p-1)-simplices in the complex: entry
+    t is the facet that omits vertex t of the column's simplex, and its
+    sign (-1)^t is implied by the position.
     """
 
     __slots__ = ()
 
-    def gf2_columns(self, skip=frozenset(), drop=frozenset()) -> Gf2Columns:
-        """The GF(2) columns left after leaving out the column indices in skip.
-
-        The row indices in drop are left out too, and the other rows are
-        renumbered densely in their order, so a packed column is only as
-        wide as the kept rows up to its highest one.  Nothing is packed
-        here: the view keeps the sparse columns.
-        """
-        bit = [-1] * self.n_rows
-        for i, row in enumerate(r for r in range(self.n_rows) if r not in drop):
-            bit[row] = i
-        return Gf2Columns(bit, [col for j, col in enumerate(self.columns) if j not in skip])
+    def gf2_columns(self) -> Gf2Columns:
+        """The columns as a GF(2) matrix.  Nothing is packed here: the
+        view keeps the sparse columns."""
+        return Gf2Columns(self.n_rows, self.columns)
 
     def dense_rows(self) -> list[list[int]]:
         out = [[0] * len(self.columns) for _ in range(self.n_rows)]
@@ -90,36 +90,27 @@ def _operator(k, p):
 
 
 class Gf2Columns:
-    """Columns of a GF(2) matrix, kept sparse.
+    """Columns of a GF(2) matrix with n_rows rows, kept sparse.
 
-    `bit` renumbers the rows: bit[row] is the row's index among the kept
-    rows, or -1 for a row left out.  Each of `columns` is a tuple of row
-    indices, read through `bit`; its kept rows are its nonzero entries.
-    Iterating packs each column into an integer, bit i for kept row i.
-    The number of kept rows bounds the rank, so an elimination stops there.
+    Each of `columns` is a tuple of row indices, its nonzero entries.
+    Iterating packs each column into an integer, bit i for row i.  The
+    number of rows bounds the rank, so an elimination stops there.
     """
 
-    __slots__ = ("bit", "columns")
+    __slots__ = ("n_rows", "columns")
 
-    def __init__(self, bit, columns):
-        self.bit = bit
+    def __init__(self, n_rows, columns):
+        self.n_rows = n_rows
         self.columns = columns
 
     def __len__(self):
         return len(self.columns)
 
     def __iter__(self):
-        return map(self.pack, self.columns)
-
-    def pack(self, col) -> int:
-        v = 0
-        for i in map(self.bit.__getitem__, col):
-            if i >= 0:
-                v |= 1 << i
-        return v
+        return map(mask_of, self.columns)
 
 
-def _gf2_reduce(cur, pivots, bit) -> int:
+def _gf2_reduce(cur, pivots) -> int:
     """A packed column reduced until its leading row is no pivot's; 0 if
     it reduces to zero.  A sparse pivot is XORed in bit by bit."""
     while cur:
@@ -129,13 +120,12 @@ def _gf2_reduce(cur, pivots, bit) -> int:
         if type(pivot) is int:
             cur ^= pivot
         else:
-            for i in map(bit.__getitem__, pivot):
-                if i >= 0:
-                    cur ^= 1 << i
+            for i in pivot:
+                cur ^= 1 << i
     return cur
 
 
-def _gf2_pivots(columns, positions=None) -> dict:
+def _gf2_pivots(columns) -> dict:
     """Column echelon form over GF(2): reduced columns keyed by leading row.
 
     `columns` is a Gf2Columns view, taken in one order whatever is asked.
@@ -144,43 +134,116 @@ def _gf2_pivots(columns, positions=None) -> dict:
     the others, when every pivot they could meet is in: each is packed,
     reduced, and kept packed if anything is left.  The pivots have distinct
     leading rows and span the column space.  The elimination stops at as
-    many pivots as kept rows.  If positions is a list, the position of each
-    column that became a pivot is appended in that order: those columns
-    span what the pivots span and are as many, so they are a basis.
+    many pivots as rows.
     """
-    bit, pack, cols = columns.bit, columns.pack, columns.columns
-    full = len(bit) - bit.count(-1)  # the kept rows
+    full, cols = columns.n_rows, columns.columns
     pivots = {}
     collided = []
     for j, cur in enumerate(cols):
-        lead = max(map(bit.__getitem__, cur), default=-1)
+        if not cur:
+            continue
+        lead = max(cur)
         if lead in pivots:
             collided.append(j)
-        elif lead >= 0:
+        else:
             pivots[lead] = cur
-            if positions is not None:
-                positions.append(j)
             if len(pivots) == full:
                 return pivots
     for j in collided:
-        cur = _gf2_reduce(pack(cols[j]), pivots, bit)
+        cur = _gf2_reduce(mask_of(cols[j]), pivots)
         if cur:
             pivots[cur.bit_length() - 1] = cur
-            if positions is not None:
-                positions.append(j)
             if len(pivots) == full:
                 break
     return pivots
 
 
-def gf2_rank(columns, positions=None) -> int:
-    """Rank of a GF(2) matrix given as a Gf2Columns view.
+def gf2_rank(columns) -> int:
+    """Rank of a GF(2) matrix given as a Gf2Columns view."""
+    return len(_gf2_pivots(columns))
 
-    If positions is a list, the positions of the columns that became
-    pivots, a basis of the column space, are appended to it in the order
-    `_gf2_pivots` found them.
+
+def _leads(cells) -> dict:
+    """tau[1:] -> the least tau[0], over the d-cells tau in any order.
+
+    Its keys are the (d-1)-cells sigma that some vertex h < sigma[0]
+    extends to a d-cell (h,) + sigma, and the value is the least such h:
+    the least vertex that extends sigma at all, since any vertex above
+    sigma[0] sorts after it.  On the vertices it is {(): least vertex}.
     """
-    return len(_gf2_pivots(columns, positions))
+    lead = {}
+    get = lead.get
+    for tau in cells:
+        tail = tau[1:]
+        h = get(tail)
+        if h is None or tau[0] < h:
+            lead[tail] = tau[0]
+    return lead
+
+
+def _facet_sum(get, cell, p) -> int:
+    """The XOR of get(f) over the p-vertex facets f of cell, None read as 0."""
+    return reduce(xor, filter(None, map(get, combinations(cell, p))), 0)
+
+
+def _flow(lead, rows, p) -> dict:
+    """The gradient flow F on the (p-1)-cells, nonzero values only, as a
+    bitset with bit i for the critical cell rows[i].
+
+    F(c) = c on a critical cell and 0 on a cell paired with a facet.  A
+    cell sigma paired with tau = (h,) + sigma maps to the sum of F over
+    the other facets of tau.  Each of them starts with h < sigma[0], so the
+    cells are taken in order of their first vertex and every value read is
+    final.  By the same descent, F(sigma) = 0 unless some critical cell
+    starts below sigma[0], so the cells that start no higher than every
+    critical one are skipped.
+    """
+    flow = {c: 1 << i for i, c in enumerate(rows)}
+    get = flow.get
+    least = min(c[0] for c in rows)
+    for sigma in sorted([s for s in lead if s[0] > least], key=itemgetter(0)):
+        # the last facet of tau that combinations() yields omits tau[0]:
+        # sigma itself, not yet in flow
+        v = _facet_sum(get, (lead[sigma],) + sigma, p)
+        if v:
+            flow[sigma] = v
+    return flow
+
+
+def _gradient(k, top):
+    """The lexicographic gradient on the top-skeleton, one degree at a time.
+
+    Yields, for p = 0..top, (lead, rows, cells, columns):
+    - lead, the pairs of degree p: sigma -> h for each (p-1)-cell sigma
+      paired with the p-cell (h,) + sigma; in degree 0 the empty simplex
+      () pairs with the least vertex;
+    - rows and cells, the critical (p-1)- and p-cells, in the complex's
+      order;
+    - columns, the Morse boundary: for each critical p-cell, the tuple of
+      positions in rows of the sum of F over its facets.
+
+    A cell is paired with a coface when it is a key of the next degree's
+    lead, and with a facet tau[1:] when that maps to tau[0]; a cell is in
+    at most one pair.  Cells of dimension top have no cofaces here, as the
+    truncated complex has none of theirs built.  A degree with no critical
+    rows or no critical cells needs no flow: its columns are zero.
+    """
+    lead = _leads(k.simplices(0))
+    rows = [] if lead else [()]  # with no vertex, the empty simplex is critical
+    for p in range(top + 1):
+        cells = k.simplices(p)
+        up = _leads(k.simplices(p + 1)) if p < top else {}
+        critical = []
+        if len(cells) > len(up) + len(lead):
+            down = lead.get
+            critical = [s for s in cells if s not in up and down(s[1:]) != s[0]]
+        if rows and critical:
+            flow = _flow(lead, rows, p).get
+            columns = [tuple(iter_bits(_facet_sum(flow, c, p))) for c in critical]
+        else:
+            columns = [()] * len(critical)
+        yield lead, rows, critical, columns
+        lead, rows = up, critical
 
 
 class BettiProfile(namedtuple("BettiProfile",
@@ -226,45 +289,43 @@ def _reduced_betti(k, ranks) -> tuple[int, ...]:
 def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     """Reduced GF(2) Betti numbers beta~_0..beta~_up_to.
 
-    Degrees run in order, and d_{p+1} is built before d_p is reduced.  Two
-    reductions keep every rank while shrinking the matrices.
+    The ranks of d_0..d_{up_to+1} come from the lexicographic gradient on
+    the (up_to+1)-skeleton (`_gradient`), not from the boundary matrices.
 
-    Clearing.  For a (p+1)-simplex whose lexicographically largest facet is
-    s (the facet that omits its lowest vertex, entry 0 of its column), dd = 0
-    makes column s of d_p the sum of its other facets' columns, all
-    lexicographically smaller; dropping every such s from the largest down
-    never changes the rank, so only the rest of d_p is reduced.  The order
-    is that of the simplices, not of their indices, so it holds in any
-    simplex order.  The top degree up_to + 1 has no cofaces built and keeps
-    all its columns.
+    The matching.  Let h be the least vertex for which (h,) + sigma is a
+    simplex.  sigma pairs with (h,) + sigma when h < sigma[0]; the empty
+    simplex pairs with the least vertex, which is the augmentation d_0.
+    sigma is the lexicographically largest facet of its partner, and the
+    partner is sigma's lexicographically least coface, so a cell lies in
+    at most one pair: tau pairs with its facet tau[1:] only when tau[0] is
+    the least vertex that extends tau[1:], and then no h < tau[0] extends
+    tau, or h would extend tau[1:] too.
 
-    Compression.  Let N_p be the columns of d_p that became pivots in its
-    elimination, and let P drop the rows indexed by N_p.  d_{p+1} is reduced
-    as P d_{p+1}, its other rows renumbered densely.  N_p is a set of
-    linearly independent columns of d_p (they are independent after d_p's
-    own rows were dropped, hence before), so a vector of ker d_p supported
-    inside N_p is a dependency among them and is 0: P is injective on
-    ker d_p.  That subspace contains im d_{p+1}, so rank P d_{p+1} =
-    rank d_{p+1}.  Clearing still holds on the projected matrix, since the
-    relation that makes a column the sum of smaller ones survives P.  The
-    rows left number f_p - rank d_p = dim ker d_p, which bounds
-    rank d_{p+1}: the elimination stops once it has that many pivots, the
-    case beta~_p = 0.  The top degree needs no N_p: it asks for the rank.
+    Acyclicity.  A step of a gradient path goes from a cell sigma up to its
+    partner (h,) + sigma and down to another facet of it, which starts
+    with h < sigma[0].  The first vertex falls strictly along every path,
+    so no path closes into a cycle, and by Forman's theorem the critical
+    cells with the Morse boundary form a chain complex with the same
+    homology.  Over GF(2), with F the flow of `_flow`, the Morse boundary
+    of a critical p-cell is the sum of F over its facets.
+
+    The rank.  After a change of basis along the gradient, d_p is the
+    identity on the pairs of degree p beside the Morse boundary on the
+    critical (p-1)-cells, so rank d_p = pairs_p + rank of the Morse
+    boundary.  Each degree hands that matrix to `gf2_rank`, so that every
+    rank it returns is a rank of d_p, as the benchmark's tracer reads them:
+    one row per critical (p-1)-cell, then one per pair, and one unit column
+    per pair before the Morse columns.  A unit column is a pivot as it
+    stands and is never packed, and a Morse column is only as wide as the
+    critical rows.
     """
     _check_truncation(k, up_to)
     ranks = []
-    bm = _operator(k, 0)
-    drop = frozenset()  # N_{p-1}, the rows of d_p that P leaves out
-    for p in range(up_to + 1):
-        nxt = boundary_matrix(k, p + 1)
-        cleared = {col[0] for col in nxt.columns}
-        kept = [j for j in range(len(bm.columns)) if j not in cleared]
-        positions = []
-        ranks.append(gf2_rank(bm.gf2_columns(cleared, drop), positions))
-        drop = {kept[i] for i in positions}
-        bm = nxt
-    # the top degree has no cofaces built: every column, and only the rank
-    ranks.append(gf2_rank(bm.gf2_columns(drop=drop)))
+    for lead, rows, _, columns in _gradient(k, up_to + 1):
+        c = len(rows)
+        units = [(c + i,) for i in range(len(lead))]
+        ranks.append(gf2_rank(BoundaryMatrix(c + len(lead), tuple(units + columns))
+                              .gf2_columns()))
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 
@@ -437,4 +498,4 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
     if rows:
         raise ValueError("the chain is not a cycle")
     cols = boundary_matrix(k, p + 1).gf2_columns()
-    return not _gf2_reduce(cols.pack(odd), _gf2_pivots(cols), cols.bit)
+    return not _gf2_reduce(mask_of(odd), _gf2_pivots(cols))

@@ -42,12 +42,11 @@ def small_matrices(draw):
 @st.composite
 def sparse_matrices(draw):
     """A BoundaryMatrix of up to 10 rows and 14 columns, each column's rows
-    in any order, with rows to drop and columns to skip."""
+    in any order."""
     n_rows = draw(st.integers(0, 10))
     rows = st.integers(0, n_rows - 1) if n_rows else st.nothing()
     columns = draw(st.lists(st.lists(rows, unique=True).map(tuple), max_size=14))
-    bm = ho.BoundaryMatrix(n_rows, tuple(columns))
-    return bm, draw(st.sets(st.integers(0, 13))), draw(st.sets(rows))
+    return ho.BoundaryMatrix(n_rows, tuple(columns))
 
 
 @st.composite
@@ -97,6 +96,73 @@ def cycles_in_shuffled_complexes(draw):
         odd = {s for s in chain if chain.count(s) % 2}
         by_dim[p].sort(key=lambda s: s not in odd)
     return cx.SimplicialComplex(block.stop, len(by_dim) - 1, by_dim), chain, p
+
+
+def assert_gradient(k, top):
+    """Check the lexicographic gradient on the top-skeleton of k without its
+    lemma: each cell lies in at most one pair, a pair is a cell and one of
+    its cofaces, the critical cells are the unpaired ones, the Hasse diagram
+    with paired edges reversed has no cycle, and, per degree, rank d_p
+    equals the pairs plus the rank of the Morse boundary, whose square is 0.
+    """
+    by_dim = [k.simplices(d) for d in range(top + 1)]
+    degrees = list(ho._gradient(k, top))
+    assert len(degrees) == top + 1
+    partner = {}
+    for p, (lead, _, _, _) in enumerate(degrees):
+        faces = set(by_dim[p - 1]) if p else {()}
+        cofaces = set(by_dim[p])
+        for sigma, h in lead.items():
+            tau = (h,) + sigma
+            assert sigma in faces and tau in cofaces
+            assert sigma not in partner and tau not in partner
+            partner[sigma] = tau
+            partner[tau] = sigma
+    assert degrees[0][1] == ([] if () in partner else [()])
+    for p, (_, rows, cells, _) in enumerate(degrees):
+        assert cells == [s for s in by_dim[p] if s not in partner]
+        if p:
+            assert rows == degrees[p - 1][2]
+
+    # the Hasse diagram, edges down from each cell to its facets, except
+    # that a paired edge points up; a DFS finds no cycle
+    out = {(): []}
+    for bucket in by_dim:
+        for tau in bucket:
+            out.setdefault(tau, [])
+            for t in range(len(tau)):
+                sigma = tau[:t] + tau[t + 1:]
+                if partner.get(sigma) == tau:
+                    out[sigma].append(tau)
+                else:
+                    out[tau].append(sigma)
+    state = {}  # 1 while on the DFS stack, 2 once done
+    for root in out:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out[root]))]
+        while stack:
+            node, succ = stack[-1]
+            for nxt in succ:
+                assert state.get(nxt) != 1, f"gradient cycle through {nxt}"
+                if nxt not in state:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(out[nxt])))
+                    break
+            else:
+                state[node] = 2
+                stack.pop()
+
+    morse = []
+    for p, (lead, rows, cells, columns) in enumerate(degrees):
+        m = np.zeros((len(rows), len(cells)), dtype=np.uint8)
+        for j, col in enumerate(columns):
+            m[list(col), j] = 1
+        morse.append(m)
+        assert dense_gf2_rank(dense_boundary(by_dim, p)) == len(lead) + dense_gf2_rank(m)
+        if p:
+            assert not (morse[p - 1].astype(int) @ m % 2).any()
 
 
 def adamaszek_adams_beta3(n):
@@ -216,27 +282,14 @@ class TestBettiGf2:
         ranks = [dense_gf2_rank(a) for a in mats]
         expected = tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(max_dim))
         assert ho.betti_gf2(k, max_dim - 1).reduced_betti == expected
-        # clearing: dropping each column of d_p that is the largest facet of a
-        # (p+1)-simplex keeps the rank of d_p
-        kept = []
-        for p in range(max_dim + 1):
-            index = {s: i for i, s in enumerate(by_dim[p])}
-            cleared = {max(index[s[:t] + s[t + 1:]] for t in range(len(s)))
-                       for s in (by_dim[p + 1] if p < max_dim else ())}
-            kept.append([j for j in range(f[p]) if j not in cleared])
-            assert dense_gf2_rank(mats[p][:, kept[p]]) == ranks[p]
-        # compression: dropping from d_{p+1} the rows of the column basis of
-        # d_p that gf2_rank returns, with its cleared columns, keeps the rank
-        for p in range(max_dim):
-            basis = []
-            assert ho.gf2_rank(ho._operator(k, p).gf2_columns(), basis) == ranks[p]
-            assert dense_gf2_rank(mats[p][:, basis]) == len(basis)
-            rows = [i for i in range(f[p]) if i not in basis]
-            assert dense_gf2_rank(mats[p + 1][rows][:, kept[p + 1]]) == ranks[p + 1]
+        # the gradient on the whole complex, and on a skeleton whose top
+        # cells have cofaces that the matching must not use
+        assert_gradient(k, max_dim)
+        assert_gradient(k, max_dim - 1)
 
     def test_peak_memory_of_q8_r2(self):
-        # the largest matrix, d_4, is 94 MiB packed whole and uncompressed,
-        # 40 MiB compressed; only the columns a reduction needs are packed
+        # the largest matrix, d_4, is 94 MiB packed whole; the gradient
+        # builds no boundary matrix and packs no column here
         k = cx.vietoris_rips(8, 2, 4)
         tracemalloc.start()
         try:
@@ -252,20 +305,17 @@ class TestBettiGf2:
         st.just(n_rows), st.lists(st.integers(0, (1 << n_rows) - 1), max_size=14))))
     def test_rank_stops_at_full_row_rank(self, matrix):
         n_rows, cols = matrix
-        bit = list(range(n_rows))
-        view = ho.Gf2Columns(bit, [tuple(iter_bits(c)) for c in cols])
+        view = ho.Gf2Columns(n_rows, [tuple(iter_bits(c)) for c in cols])
         dense = np.array([[c >> i & 1 for c in cols] for i in range(n_rows)],
                          dtype=np.uint8).reshape(n_rows, len(cols))
-        positions = []
-        assert ho.gf2_rank(view, positions) == dense_gf2_rank(dense)
-        assert dense_gf2_rank(dense[:, positions]) == len(positions)
+        assert ho.gf2_rank(view) == dense_gf2_rank(dense)
         if n_rows:
-            # the identity, then a failure: once every kept row leads a
-            # pivot, no later column is read
+            # the identity, then a failure: once every row leads a pivot,
+            # no later column is read
             def identity_then_fail():
-                yield from [(i,) for i in bit]
+                yield from [(i,) for i in range(n_rows)]
                 raise AssertionError("a column after full row rank was read")
-            assert ho.gf2_rank(ho.Gf2Columns(bit, identity_then_fail())) == n_rows
+            assert ho.gf2_rank(ho.Gf2Columns(n_rows, identity_then_fail())) == n_rows
 
     def test_deferred_columns_stop_at_full_row_rank(self):
         # every column after the first collides at row 3; reduced in order,
@@ -275,29 +325,23 @@ class TestBettiGf2:
                 assert j < 4, f"deferred column {j} read after full row rank"
                 return super().__getitem__(j)
         cols = Columns([(0, 3), (1, 3), (2, 3), (3,), (3,), (3,)])
-        assert ho.gf2_rank(ho.Gf2Columns([0, 1, 2, 3], cols)) == 4
+        assert ho.gf2_rank(ho.Gf2Columns(4, cols)) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices())
-    def test_view_ranks_as_its_packed_columns(self, matrix):
-        # rows in any order within a column, some rows dropped, some columns
-        # skipped: the view packs into the columns it keeps, which the
-        # benchmark's tracer counts, and ranks as the dense oracle does
-        bm, skip, drop = matrix
-        view = bm.gf2_columns(skip, drop)
-        rows = [i for i in range(bm.n_rows) if i not in drop]
-        cols = [c for j, c in enumerate(bm.columns) if j not in skip]
-        # bit i of a packed column is the i-th kept row; iterating twice
-        # packs the same columns again
-        packed = [sum(1 << i for i, row in enumerate(rows) if row in c) for c in cols]
+    def test_view_ranks_as_its_packed_columns(self, bm):
+        # rows in any order within a column: the view packs into the
+        # columns, which the benchmark's tracer counts, and ranks as the
+        # dense oracle does
+        view = bm.gf2_columns()
+        # bit i of a packed column is row i; iterating twice packs the same
+        # columns again
+        packed = [sum(1 << i for i in c) for c in bm.columns]
         assert len(view) == len(packed)
         assert list(view) == list(view) == packed
-        dense = np.array([[i in c for c in cols] for i in rows],
-                         dtype=np.uint8).reshape(len(rows), len(cols))
-        positions = []
-        assert ho.gf2_rank(view, positions) == ho.gf2_rank(view) == dense_gf2_rank(dense)
-        assert len(set(positions)) == len(positions)
-        assert dense_gf2_rank(dense[:, positions]) == len(positions)
+        dense = np.array([[i in c for c in bm.columns] for i in range(bm.n_rows)],
+                         dtype=np.uint8).reshape(bm.n_rows, len(bm.columns))
+        assert ho.gf2_rank(view) == ho.gf2_rank(view) == dense_gf2_rank(dense)
 
     def test_disconnected_counts_components(self):
         points = cx.vietoris_rips(3, 0, 1)
@@ -320,6 +364,24 @@ class TestBettiGf2:
             chi_f = sum((-1) ** i * f for i, f in enumerate(k.f_vector()))
             chi_b = sum((-1) ** i * b for i, b in enumerate(unreduced))
             assert chi_f == chi_b
+
+
+class TestGradient:
+    def test_checks_hold_on_q4_r3(self):
+        # the boundary of the 8-dimensional cross-polytope, a 7-sphere
+        k = cx.vietoris_rips(4, 3, 7)
+        assert_gradient(k, 7)
+        assert [len(cells) for _, _, cells, _ in ho._gradient(k, 7)] == [0] * 7 + [1]
+
+    @pytest.mark.parametrize("n, r, top, critical, cells", [
+        (5, 3, 8, (0, 0, 0, 16, 113, 231, 197, 72, 80), 84216),
+        (8, 2, 4, (0, 0, 0, 2561, 14336), 96256),
+        (6, 3, 3, (0, 0, 0, 44529), 68336),
+    ])
+    def test_critical_cell_counts(self, n, r, top, critical, cells):
+        k = cx.vietoris_rips(n, r, top)
+        assert sum(k.f_vector()) == cells
+        assert tuple(len(c) for _, _, c, _ in ho._gradient(k, top)) == critical
 
 
 @pytest.fixture(scope="module")
