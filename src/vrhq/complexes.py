@@ -222,8 +222,8 @@ def format_complex(k: SimplicialComplex) -> str:
     """Serialize: header 'dim D vertices N', then one simplex per line as
     space-separated increasing vertex indices, grouped by ascending dimension."""
     lines = [f"dim {k.max_dim_requested} vertices {k.n_vertices}"]
-    for bucket in k._by_dim:
-        lines.extend(" ".join(map(str, simplex)) for simplex in bucket)
+    for d, bucket in enumerate(k._by_dim):
+        lines.extend(map(("%d " * d + "%d").__mod__, bucket))
     return "\n".join(lines) + "\n"
 
 
@@ -232,11 +232,10 @@ def parse_complex(text: str) -> SimplicialComplex:
 
     The header's 'dim D' is the truncation: nothing is allocated per
     declared dimension, and a bucket opens when its dimension first appears.
-    Blank lines are skipped.  Every line is checked against one set of the
-    simplices read so far (tuple length keeps dimensions apart): a simplex
-    may not repeat, and all its facets must come earlier in the file.  When
-    several are missing, the error names the facet that omits the lowest
-    vertex.
+    Blank lines are skipped.  The simplices are read and checked a
+    dimension at a time (`_read_by_dimension`).  If any check fails, the
+    file is read again line by line (`_raise_first_fault`), only to raise
+    the first fault with its line number.
     """
     lines = text.splitlines()
     if not lines:
@@ -251,8 +250,63 @@ def parse_complex(text: str) -> SimplicialComplex:
     if max_dim < 0 or n_vertices < 0:
         raise ParseError("negative header counts", 1)
 
-    by_dim = []
+    by_dim = _read_by_dimension(lines, max_dim, n_vertices)
+    if by_dim is None:
+        _raise_first_fault(lines, max_dim, n_vertices)
+    return SimplicialComplex(n_vertices, max_dim, by_dim)
+
+
+def _read_by_dimension(lines, max_dim, n_vertices):
+    """The simplices of lines[1:] as sorted buckets by dimension, or None
+    if the file has a fault.
+
+    The non-blank lines are grouped by token count, which must run 1, 2,
+    ... up to at most max_dim + 1, and each group becomes int tuples in one
+    pass.  A group repeats no simplex if its set is as long as its list.
+    The vertices must lie in range, the edges must increase, and every
+    facet of a d-simplex must be a (d-1)-simplex.  Above dimension 1 that
+    closure implies the increase, and the range follows from the vertices.
+    Each line is split only as its group is consumed: no list of every
+    line's tokens is built.
+    """
+    rows = filter(None, map(str.split, itertools.islice(lines, 1, None)))
+    by_dim, prev = [], None
+    for size, group in itertools.groupby(rows, len):
+        d = size - 1
+        if d != len(by_dim) or d > max_dim:
+            return None
+        try:
+            bucket = list(zip(*[map(int, itertools.chain.from_iterable(group))] * size))
+        except ValueError:
+            return None
+        here = set(bucket)
+        if len(here) < len(bucket):
+            return None
+        if d == 0:
+            if min(bucket)[0] < 0 or max(bucket)[0] >= n_vertices:
+                return None
+        elif d == 1 and not all(itertools.starmap(int.__lt__, bucket)):
+            return None
+        if d and not prev.issuperset(itertools.chain.from_iterable(
+                map(itertools.combinations, bucket, itertools.repeat(d)))):
+            return None
+        bucket.sort()
+        by_dim.append(bucket)
+        prev = here
+    return by_dim
+
+
+def _raise_first_fault(lines, max_dim, n_vertices):
+    """Raise ParseError for the first line of lines[1:] with a fault.
+
+    Each line is checked against one set of the simplices read so far
+    (tuple length keeps dimensions apart): a simplex may not repeat, and
+    all its facets must come earlier in the file.  When several are
+    missing, the error names the facet that omits the lowest vertex.  The
+    lines are those `_read_by_dimension` rejected, so one of them fails.
+    """
     seen = set()
+    top = -1
     for lineno, raw in enumerate(lines[1:], 2):
         line = raw.strip()
         if not line:
@@ -268,7 +322,7 @@ def parse_complex(text: str) -> SimplicialComplex:
             raise ParseError("vertex index out of range", lineno)
         if not all(map(int.__lt__, verts, verts[1:])):
             raise ParseError("vertices must be strictly increasing", lineno)
-        if d < len(by_dim) - 1:
+        if d < top:
             raise ParseError("simplices must be grouped by ascending dimension", lineno)
         if verts in seen:
             raise ParseError(f"duplicate simplex {line!r}", lineno)
@@ -279,13 +333,9 @@ def parse_complex(text: str) -> SimplicialComplex:
                          if f not in seen)
             raise ParseError(
                 f"missing facet {' '.join(map(str, facet))} of {line!r}", lineno)
-        if d == len(by_dim):
-            by_dim.append([])
+        top = max(top, d)
         seen.add(verts)
-        by_dim[d].append(verts)
-    for bucket in by_dim:
-        bucket.sort()
-    return SimplicialComplex(n_vertices, max_dim, by_dim)
+    raise AssertionError("the per-dimension read rejected a file with no fault")
 
 
 def write_complex_file(k: SimplicialComplex, path) -> None:

@@ -9,10 +9,11 @@ off each dimension's cofaces by their tails in one dict pass.  Along a
 gradient path the first vertex falls strictly, so the matching is acyclic.
 The Morse boundary of a critical cell follows its gradient paths, summed
 in one pass over the paired cells in order of their first vertex, and
-rank d_p = pairs_p + rank of the Morse boundary in degree p.  The ranks
-come from Gaussian elimination on sparse columns: a column whose leading
-row is new becomes a pivot as it is, and the rest are packed into integer
-bitsets and reduced once all those are in.
+rank d_p = pairs_p + rank of the Morse boundary in degree p: the pairs
+are counted, and only the Morse columns are built.  The ranks come from
+Gaussian elimination on sparse columns: a column whose leading row is new
+becomes a pivot as it is, and the rest are packed into integer bitsets and
+reduced once all those are in.
 
 An exact integer pipeline via Smith normal form gives free ranks and
 torsion.  It still ranks the full boundary matrices: one sparse
@@ -56,10 +57,11 @@ class BoundaryMatrix(namedtuple("BoundaryMatrix", "n_rows columns")):
 
     __slots__ = ()
 
-    def gf2_columns(self) -> Gf2Columns:
-        """The columns as a GF(2) matrix.  Nothing is packed here: the
-        view keeps the sparse columns."""
-        return Gf2Columns(self.n_rows, self.columns)
+    def gf2_columns(self, units: int = 0) -> Gf2Columns:
+        """The columns as a GF(2) matrix, beside `units` unit columns on
+        rows of their own.  Nothing is packed here: the view keeps the
+        sparse columns, and the unit columns as a count."""
+        return Gf2Columns(self.n_rows, self.columns, units)
 
     def dense_rows(self) -> list[list[int]]:
         out = [[0] * len(self.columns) for _ in range(self.n_rows)]
@@ -90,21 +92,25 @@ def _operator(k, p):
 
 
 class Gf2Columns:
-    """Columns of a GF(2) matrix with n_rows rows, kept sparse.
+    """Columns of a GF(2) matrix with n_rows rows, kept sparse, beside
+    `units` unit columns.
 
     Each of `columns` is a tuple of row indices, its nonzero entries.
     Iterating packs each column into an integer, bit i for row i.  The
-    number of rows bounds the rank, so an elimination stops there.
+    number of rows bounds the rank, so an elimination stops there.  The
+    unit columns are an identity block on rows of their own, held as a
+    count: each adds one to the rank, and none is built or packed.
     """
 
-    __slots__ = ("n_rows", "columns")
+    __slots__ = ("n_rows", "columns", "units")
 
-    def __init__(self, n_rows, columns):
+    def __init__(self, n_rows, columns, units=0):
         self.n_rows = n_rows
         self.columns = columns
+        self.units = units
 
     def __len__(self):
-        return len(self.columns)
+        return self.units + len(self.columns)
 
     def __iter__(self):
         return map(mask_of, self.columns)
@@ -160,7 +166,7 @@ def _gf2_pivots(columns) -> dict:
 
 def gf2_rank(columns) -> int:
     """Rank of a GF(2) matrix given as a Gf2Columns view."""
-    return len(_gf2_pivots(columns))
+    return columns.units + len(_gf2_pivots(columns))
 
 
 def _leads(cells) -> dict:
@@ -312,20 +318,17 @@ def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     The rank.  After a change of basis along the gradient, d_p is the
     identity on the pairs of degree p beside the Morse boundary on the
     critical (p-1)-cells, so rank d_p = pairs_p + rank of the Morse
-    boundary.  Each degree hands that matrix to `gf2_rank`, so that every
-    rank it returns is a rank of d_p, as the benchmark's tracer reads them:
-    one row per critical (p-1)-cell, then one per pair, and one unit column
-    per pair before the Morse columns.  A unit column is a pivot as it
-    stands and is never packed, and a Morse column is only as wide as the
-    critical rows.
+    boundary.  Each degree hands `gf2_rank` the Morse columns, one row per
+    critical (p-1)-cell, with the pairs beside them as a count of unit
+    columns, so that every rank it returns is a rank of d_p, as the
+    benchmark's tracer reads them.  No column is built for a pair, and a
+    Morse column is only as wide as the critical rows.
     """
     _check_truncation(k, up_to)
     ranks = []
     for lead, rows, _, columns in _gradient(k, up_to + 1):
-        c = len(rows)
-        units = [(c + i,) for i in range(len(lead))]
-        ranks.append(gf2_rank(BoundaryMatrix(c + len(lead), tuple(units + columns))
-                              .gf2_columns()))
+        ranks.append(gf2_rank(BoundaryMatrix(len(rows), tuple(columns))
+                              .gf2_columns(len(lead))))
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 

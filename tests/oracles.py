@@ -10,6 +10,9 @@ references are frozen copies of the solver's earlier, simpler form, kept so
 that faster rewrites can be required to return the same answer in no more
 nodes; gamma_t is also solved as an integer program by scipy's HiGHS.
 Vertex-transitivity is decided by networkx's VF2++ isomorphism test.
+`reference_parse_complex` is a frozen copy of the complex file parser as it
+read one line at a time; the per-dimension parser must accept the same
+files and name the same first fault.
 `tight_example_graph` is a fixture: a gadget family on which the trivial
 bound ceil(m / max_degree) is exact; `dimacs_text` writes a graph as DIMACS
 input.
@@ -24,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from vrhq.complexes import SimplicialComplex
+from vrhq.errors import ParseError
 from vrhq.hypercube import Graph
 
 
@@ -210,6 +215,68 @@ def dimacs_text(g: Graph) -> str:
     u < v, 1-indexed, in ascending order."""
     edges = [(u, v) for u in range(g.m) for v in range(u + 1, g.m) if g.row(u) >> v & 1]
     return "".join([f"p edge {g.m} {len(edges)}\n"] + [f"e {u + 1} {v + 1}\n" for u, v in edges])
+
+
+def reference_parse_complex(text: str) -> SimplicialComplex:
+    """The complex file parser as it was before it read a dimension at a
+    time: every line split, converted and checked on its own.
+
+    The header's 'dim D' is the truncation: nothing is allocated per
+    declared dimension, and a bucket opens when its dimension first appears.
+    Blank lines are skipped.  Every line is checked against one set of the
+    simplices read so far (tuple length keeps dimensions apart): a simplex
+    may not repeat, and all its facets must come earlier in the file.  When
+    several are missing, the error names the facet that omits the lowest
+    vertex.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty complex file")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != "dim" or header[2] != "vertices":
+        raise ParseError(f"expected 'dim D vertices N', got {lines[0]!r}", 1)
+    try:
+        max_dim, n_vertices = int(header[1]), int(header[3])
+    except ValueError:
+        raise ParseError("non-integer header counts", 1) from None
+    if max_dim < 0 or n_vertices < 0:
+        raise ParseError("negative header counts", 1)
+
+    by_dim = []
+    seen = set()
+    for lineno, raw in enumerate(lines[1:], 2):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            verts = tuple(map(int, line.split()))
+        except ValueError:
+            raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
+        d = len(verts) - 1
+        if d > max_dim:
+            raise ParseError(f"simplex of dimension {d} exceeds header dim {max_dim}", lineno)
+        if min(verts) < 0 or max(verts) >= n_vertices:
+            raise ParseError("vertex index out of range", lineno)
+        if not all(map(int.__lt__, verts, verts[1:])):
+            raise ParseError("vertices must be strictly increasing", lineno)
+        if d < len(by_dim) - 1:
+            raise ParseError("simplices must be grouped by ascending dimension", lineno)
+        if verts in seen:
+            raise ParseError(f"duplicate simplex {line!r}", lineno)
+        if d and not seen.issuperset(itertools.combinations(verts, d)):
+            # combinations omit the highest vertex first, so reversed they
+            # come in order of the vertex omitted, lowest first
+            facet = next(f for f in reversed(list(itertools.combinations(verts, d)))
+                         if f not in seen)
+            raise ParseError(
+                f"missing facet {' '.join(map(str, facet))} of {line!r}", lineno)
+        if d == len(by_dim):
+            by_dim.append([])
+        seen.add(verts)
+        by_dim[d].append(verts)
+    for bucket in by_dim:
+        bucket.sort()
+    return SimplicialComplex(n_vertices, max_dim, by_dim)
 
 
 def random_isolated_free_graphs(count: int, max_m: int, seed: int):

@@ -10,7 +10,8 @@ from vrhq import complexes as cx, hypercube as hc
 from vrhq.errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
                          TooLarge)
 
-from tests.oracles import brute_independent_sets, brute_pattern_sets, brute_rips_by_dim
+from tests.oracles import (brute_independent_sets, brute_pattern_sets, brute_rips_by_dim,
+                           reference_parse_complex)
 
 
 def check_closure(k):
@@ -89,6 +90,20 @@ class TestVietorisRips:
             tracemalloc.stop()
         assert k.f_vector() == (256, 4608, 21504, 37632, 32256)
         assert peak < 10 << 20
+
+    def test_parse_splits_one_dimension_at_a_time(self):
+        # the VR(Q_6; 3) 3-skeleton file peaks near 12 MiB when its lines
+        # are split as each dimension is read; splitting every line first
+        # would push the peak past 30 MiB
+        text = cx.format_complex(cx.vietoris_rips(6, 3, 3))
+        tracemalloc.start()
+        try:
+            k = cx.parse_complex(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.f_vector() == (64, 1312, 11840, 55120)
+        assert peak < 16 << 20
 
     def test_truncation_pads_empty_dimensions(self):
         k = cx.vietoris_rips(2, 1, 5)
@@ -258,6 +273,7 @@ PARSE_ERRORS = [
     ("dim 1 vertices 2\n0\n1\n0 1\n0 1\n", 5, "duplicate simplex '0 1'"),
     ("dim 1 vertices 2\n0\n1\n1 0\n", 4, "vertices must be strictly increasing"),
     ("dim 1 vertices 2\n0\n1\n0 2\n", 4, "vertex index out of range"),
+    ("dim 0 vertices 2\n0\n2\n", 3, "vertex index out of range"),
     ("dim 1 vertices 3\n0\n1\n0 2\n", 4, "missing facet 2 of '0 2'"),
     ("dim 0 vertices 2\n0\n1\n0 1\n", 4, "simplex of dimension 1 exceeds header dim 0"),
     ("dim 1 vertices 3\n0\n1\n2\n0 1\n2\n", 6,
@@ -269,7 +285,20 @@ PARSE_ERRORS = [
     ("dim 2 vertices 3\n0\n1\n2\n0 1\n0 1 2\n", 6, "missing facet 1 2 of '0 1 2'"),
     # blank lines are skipped but still counted
     ("dim 1 vertices 2\n0\n\n1\n1 0\n", 5, "vertices must be strictly increasing"),
+    # '0 2 1' also has the facet '2 1', which is no edge; the order is named
+    ("dim 2 vertices 3\n0\n1\n2\n0 1\n0 2\n1 2\n0 2 1\n", 8,
+     "vertices must be strictly increasing"),
+    # a file that opens above dimension 0, or skips one
+    ("dim 1 vertices 2\n0 1\n", 2, "missing facet 1 of '0 1'"),
+    ("dim 2 vertices 3\n0\n1\n2\n0 1 2\n", 5, "missing facet 1 2 of '0 1 2'"),
 ]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
 
 
 class TestComplexFile:
@@ -283,6 +312,61 @@ class TestComplexFile:
         assert cx.format_complex(again) == text
         # blank and whitespace-only lines are skipped anywhere after the header
         assert cx.parse_complex(text.replace("\n", "\n \n\n")) == k
+        # CRLF line ends and tab-separated vertices read the same
+        assert cx.parse_complex(text.replace(" ", "\t").replace("\n", "\r\n")) == k
+
+    def test_format_matches_joined_vertices(self):
+        for n in range(1, 6):
+            for r in range(n + 1):
+                k = cx.vietoris_rips(n, r, 3)
+                want = [f"dim 3 vertices {1 << n}"]
+                want.extend(" ".join(map(str, s)) for d in range(4) for s in k.simplices(d))
+                assert cx.format_complex(k) == "\n".join(want) + "\n"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_the_line_by_line_reference(self, data):
+        # a formatted VR file, mutated: both parsers give the same complex,
+        # or the same first fault at the same line
+        n = data.draw(st.integers(1, 4), "n")
+        top = data.draw(st.integers(0, 3), "top")
+        k = cx.vietoris_rips(n, data.draw(st.integers(0, n), "r"), top)
+        lines = cx.format_complex(k).splitlines()
+        for _ in range(data.draw(st.integers(0, 3), "mutations")):
+            i = data.draw(st.integers(1, len(lines)), "line")
+            j = data.draw(st.integers(1, len(lines)), "other line")
+            line = lines[min(i, len(lines) - 1)] if len(lines) > 1 else ""
+            edit = data.draw(st.sampled_from([
+                "delete", "duplicate", "swap", "reverse", "out of range", "drop last",
+                "blank", "padded", "tabs", "x", "01", "+1", "-0", "header"]), "edit")
+            if edit == "delete" and i < len(lines):
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(j, line)
+            elif edit == "swap" and max(i, j) < len(lines):
+                lines[i], lines[j] = lines[j], lines[i]
+            elif edit == "reverse" and i < len(lines):
+                lines[i] = " ".join(reversed(line.split()))
+            elif edit == "out of range":
+                v = data.draw(st.sampled_from([-1, 1 << n]), "vertex")
+                if i < len(lines) and data.draw(st.booleans(), "append"):
+                    lines[i] = f"{line} {v}"
+                else:
+                    lines.insert(i, str(v))
+            elif edit == "drop last" and i < len(lines):
+                lines[i] = " ".join(line.split()[:-1])
+            elif edit == "blank":
+                lines.insert(i, data.draw(st.sampled_from(["", " ", "\t \t"]), "blank"))
+            elif edit == "padded" and i < len(lines):
+                lines[i] = f"  {line}\t "
+            elif edit == "tabs" and i < len(lines):
+                lines[i] = line.replace(" ", "\t")
+            elif edit in ("x", "01", "+1", "-0"):
+                lines.insert(i, edit)
+            elif edit == "header":
+                lines[0] = f"dim {data.draw(st.integers(0, top + 1), 'dim')} vertices {1 << n}"
+        text = "\n".join(lines) + "\n"
+        assert outcome(cx.parse_complex, text) == outcome(reference_parse_complex, text)
 
     def test_file_io(self, tmp_path):
         k = cx.vietoris_rips(2, 1, 2)

@@ -328,19 +328,22 @@ class TestBettiGf2:
         assert ho.gf2_rank(ho.Gf2Columns(4, cols)) == 4
 
     @settings(max_examples=300, deadline=None)
-    @given(sparse_matrices())
-    def test_view_ranks_as_its_packed_columns(self, bm):
+    @given(sparse_matrices(), st.integers(0, 3))
+    def test_view_ranks_as_its_packed_columns(self, bm, units):
         # rows in any order within a column: the view packs into the
         # columns, which the benchmark's tracer counts, and ranks as the
-        # dense oracle does
-        view = bm.gf2_columns()
+        # dense oracle does, with the unit columns an identity block beside
+        view = bm.gf2_columns(units)
         # bit i of a packed column is row i; iterating twice packs the same
-        # columns again
+        # columns again, and no unit column is packed
         packed = [sum(1 << i for i in c) for c in bm.columns]
-        assert len(view) == len(packed)
+        assert len(view) == units + len(packed)
         assert list(view) == list(view) == packed
         dense = np.array([[i in c for c in bm.columns] for i in range(bm.n_rows)],
                          dtype=np.uint8).reshape(bm.n_rows, len(bm.columns))
+        dense = np.block([[np.eye(units, dtype=np.uint8),
+                           np.zeros((units, len(bm.columns)), dtype=np.uint8)],
+                          [np.zeros((bm.n_rows, units), dtype=np.uint8), dense]])
         assert ho.gf2_rank(view) == ho.gf2_rank(view) == dense_gf2_rank(dense)
 
     def test_disconnected_counts_components(self):
