@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .bitops import dense_bits, iter_bits, mask_of
+from .bitops import dense_bits, halfspace_patterns, iter_bits, mask_of, xor_translate
 from .errors import DimensionTooLarge, InconsistentHeader, ParseError
 
 # Bounds the size of an explicit graph, not memory: 2^MATERIALIZE_CEILING
@@ -92,23 +92,6 @@ class Graph:
         return self._isolated
 
 
-def _halfspace_patterns(n: int) -> list[int]:
-    """For each index bit b < n, the bitset of positions j in [0, 2^n) whose
-    b-th bit is zero: 2^b ones, 2^b zeros, repeated."""
-    ones = (1 << (1 << n)) - 1
-    return [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
-
-
-def _translated(rows, v: int, patterns) -> int:
-    """rows[v ^ low], low the lowest set bit of v, with its positions permuted
-    by j -> j XOR low: one half-space swap.  If each row w < v is row 0
-    XOR-translated by w, this is row 0 translated by v."""
-    low = v & -v
-    p = patterns[low.bit_length() - 1]
-    row = rows[v ^ low]
-    return ((row & p) << low) | ((row >> low) & p)
-
-
 def _weight_row(n: int, weights) -> int:
     """Row 0 of the Cayley graph of Z_2^n on the nonzero words whose
     Hamming weight is in `weights`."""
@@ -119,18 +102,19 @@ def build_hamming_graph(n: int, r: int, complemented: bool = False) -> Graph:
     """Materialize G_{n,r} (distance <= r) or its complement (distance >= r+1).
 
     The graph is vertex-transitive: row v is the row of vertex 0 with its
-    bit positions permuted by j -> j XOR v, built from a lower row by one
-    half-space swap (`_translated`) instead of a popcount per pair.
+    bit positions permuted by j -> j XOR v.  It is built from row v ^ low,
+    low the lowest set bit of v, by one half-space swap (`xor_translate`)
+    instead of a popcount per pair.
     """
     validate_pair(n, r)
     if n > MATERIALIZE_CEILING:
         raise DimensionTooLarge(
             f"n = {n} exceeds the materialization ceiling {MATERIALIZE_CEILING}; "
             "use hamming_distance() for implicit queries")
-    patterns = _halfspace_patterns(n)
+    patterns = halfspace_patterns(n)
     rows = [_weight_row(n, range(r + 1, n + 1) if complemented else range(1, r + 1))]
     for v in range(1, 1 << n):
-        rows.append(_translated(rows, v, patterns))
+        rows.append(xor_translate(rows[v & (v - 1)], v & -v, patterns))
     return Graph(rows, validate=False)
 
 
@@ -331,7 +315,7 @@ def hamming_labelling(rows, expired=None):
     """(None, None) when these rows are a Cayley graph of Z_2^n on a union
     of Hamming weight classes, as `build_hamming_graph` labels G_{n,r} and
     its complement: row 0 is a union of weight classes, and each row v is
-    row 0 XOR-translated by v (`_translated`).  Coordinate permutations and
+    row 0 XOR-translated by v (`xor_translate`).  Coordinate permutations and
     translations preserve such a graph.  Otherwise (G, perm) when the rows
     are G = G_{n,r} or its complement relabelled by perm, checked on every
     row: perm[v] plays vertex v of G, and `_maps_onto` finds it from G's
@@ -345,9 +329,9 @@ def hamming_labelling(rows, expired=None):
     if m < 2 or m & (m - 1):
         return None
     n = m.bit_length() - 1
-    patterns = _halfspace_patterns(n)
+    patterns = halfspace_patterns(n)
     if rows[0] == _weight_row(n, {w.bit_count() for w in iter_bits(rows[0])}) and all(
-            not expired() and rows[v] == _translated(rows, v, patterns)
+            not expired() and rows[v] == xor_translate(rows[v & (v - 1)], v & -v, patterns)
             for v in range(1, m)):
         return None, None
     degree = rows[0].bit_count()

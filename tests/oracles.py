@@ -13,6 +13,9 @@ Vertex-transitivity is decided by networkx's VF2++ isomorphism test.
 `reference_parse_complex` is a frozen copy of the complex file parser as it
 read one line at a time; the per-dimension parser must accept the same
 files and name the same first fault.
+`reference_dominates` is the witness checker's domination test as it was,
+one popcount per word of Q_n and vertex, which the split ball scan must
+match.
 `tight_example_graph` is a fixture: a gadget family on which the trivial
 bound ceil(m / max_degree) is exact; `dimacs_text` writes a graph as DIMACS
 input.
@@ -184,6 +187,18 @@ def brute_pattern_sets(n: int, r: int) -> list[tuple[int, ...]]:
         if ok:
             out.append(tuple(verts))
     return out
+
+
+def reference_dominates(n: int, r: int, verts) -> bool:
+    """Every word u of Q_n has some s in `verts` at distance > r, tested
+    word by word; an empty list fails at u = 0."""
+    for u in range(1 << n):
+        for s in verts:
+            if (u ^ s).bit_count() > r:
+                break
+        else:
+            return False
+    return True
 
 
 def tight_example_graph(delta: int, pairs: int) -> Graph:

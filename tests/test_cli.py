@@ -771,6 +771,18 @@ class TestResourceContract:
             "code": "isolated_vertex",
             "message": "total domination is undefined on graphs with isolated vertices"}
 
+    def test_witness_at_the_ceiling_scans_q24_in_seconds(self):
+        # each word u has d(u, t) <= 12, so ~t is far, or d(u, t) >= 13,
+        # so every t ^ 2^i with i outside the distance is; the word-by-word
+        # scan took 5.4 s in process
+        t = 0b101100111000111100001111
+        verts = [t ^ (1 << i) for i in range(23)] + [t ^ ((1 << 24) - 1)]
+        code, env, elapsed = run_limited("witness", "--n", "24", "--r", "11", "--vertices",
+                                         ",".join(map(str, verts)))
+        assert code == 0, env["status"]
+        assert env["result"]["is_total_dominating_in_complement"] is True
+        assert elapsed < 3
+
     def test_gf2_homology_of_q6_r3_through_degree_7(self):
         # the packed d_6 alone took 955 MiB when every column was packed
         code, env, _ = run_limited("homology", "--n", "6", "--r", "3", "--up-to", "7")

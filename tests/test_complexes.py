@@ -11,7 +11,7 @@ from vrhq.errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseErro
                          TooLarge)
 
 from tests.oracles import (brute_independent_sets, brute_pattern_sets, brute_rips_by_dim,
-                           reference_parse_complex)
+                           reference_dominates, reference_parse_complex)
 
 
 def check_closure(k):
@@ -186,31 +186,71 @@ class TestWitnessCheck:
         rep = cx.cross_polytope_witness_check(2, 0, [0, 3])
         assert rep.is_cross_polytope_boundary
         assert rep.recovered_pairs == ((0, 3),)
-        # two vertices cannot dominate the complete distance->=1 graph minus
-        # themselves? they can: every vertex of Q_2 differs from 0 or 3
+        # at r = 0 every word of Q_2 differs from 0 or from 3, so the pair
+        # dominates
         assert rep.is_total_dominating_in_complement
 
     def test_pattern_without_domination(self):
-        # {0, 3} at scale 1 in Q_3: far pair at distance 2, but vertex 7 is
-        # adjacent to both in the distance->=2 graph ... check honestly
+        # {0, 3} at scale 1 in Q_3 is a far pair at distance 2, but word 1
+        # lies within distance 1 of both, so the pair does not dominate
         rep = cx.cross_polytope_witness_check(3, 1, [0, 3])
         assert rep.is_cross_polytope_boundary
-        view = [any(hc.hamming_distance(u, s) > 1 for s in (0, 3))
-                for u in range(8)]
-        assert rep.is_total_dominating_in_complement == all(view)
+        assert not rep.is_total_dominating_in_complement
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_domination_verdict_matches_distance_predicate(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=10))
+        # above n = 12 a word has high bits, so the scan splits it
+        n = data.draw(st.integers(min_value=1, max_value=14))
         r = data.draw(st.integers(min_value=0, max_value=n))
         verts = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
-                                   max_size=8, unique=True))
+                                   max_size=16, unique=True))
         verts = verts[:len(verts) // 2 * 2]
         rep = cx.cross_polytope_witness_check(n, r, verts)
-        want = bool(verts) and all(any(hc.hamming_distance(u, s) > r for s in verts)
-                                   for u in range(1 << n))
-        assert rep.is_total_dominating_in_complement == want
+        assert rep.is_total_dominating_in_complement == reference_dominates(n, r, verts)
+
+    def test_antipodal_pair_dominates_iff_n_exceeds_2r(self):
+        # d(u, t) + d(u, ~t) = n, so the larger is > r for every u iff n > 2r
+        t = 0b101100111000111100001111
+        for n in range(1, hc.MATERIALIZE_CEILING + 1):
+            tn = t & ((1 << n) - 1)
+            for r in range(n + 1):
+                rep = cx.cross_polytope_witness_check(n, r, [tn, tn ^ ((1 << n) - 1)])
+                assert rep.is_total_dominating_in_complement == (n > 2 * r), (n, r)
+
+    @pytest.mark.parametrize("n", [13, 14, 16])
+    def test_only_the_last_block_is_undominated(self, n):
+        # at r = 1 the radius-1 sphere about the all-ones word dominates
+        # every other word; the all-ones word has the highest high part.
+        # With it, the list stays within radius 1 of it.
+        top = (1 << n) - 1
+        verts = [top ^ (1 << i) for i in range(n)] + [top] * (n % 2)
+        assert not reference_dominates(n, 1, verts)
+        assert reference_dominates(n, 1, verts + [0, 1])
+        assert not cx.cross_polytope_witness_check(n, 1, verts).is_total_dominating_in_complement
+        # two vertices far from the all-ones word dominate it too
+        rep = cx.cross_polytope_witness_check(n, 1, verts + [0, 1])
+        assert rep.is_total_dominating_in_complement
+
+    @pytest.mark.parametrize("size", [2, 2048])
+    def test_scan_holds_2_to_the_n_bits(self, size):
+        # near[h] holds 2^20 bits, 128 KiB, however long the list; a ball
+        # per vertex would be 128 KiB each.  Neither list dominates, so the
+        # scan reads all of it.
+        n, r = 20, 10
+        if size == 2:
+            verts = [0b1011, 0b1011 ^ ((1 << n) - 1)]
+        else:
+            verts = list(itertools.islice((v for v in range(1 << n) if v.bit_count() <= 4),
+                                          size))
+        tracemalloc.start()
+        try:
+            dominating = cx._dominates(n, r, verts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not dominating
+        assert peak < 1 << 20, peak
 
     def test_errors(self):
         with pytest.raises(OddCount):

@@ -32,6 +32,24 @@ class TestBitops:
         items = [object() for _ in range(300)]
         assert list(bitops.dense_bits(mask, items)) == [items[i] for i in want]
 
+    def test_halfspace_patterns_match_the_division_formula(self):
+        for n in range(13):
+            ones = (1 << (1 << n)) - 1
+            want = [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
+            assert bitops.halfspace_patterns(n) == want
+            # three blocks end to end, and a width that is no power of two
+            assert bitops.halfspace_patterns(n, 3 << n) == [
+                p | p << (1 << n) | p << (2 << n) for p in want]
+
+    @settings(max_examples=300)
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+           st.integers(min_value=0, max_value=15))
+    def test_xor_translate_moves_every_block(self, row, v):
+        # four blocks of 16 positions: bit j of block i lands on j ^ v
+        moved = bitops.xor_translate(row, v, bitops.halfspace_patterns(4, 64))
+        assert all((moved >> (i << 4 | j ^ v)) & 1 == (row >> (i << 4 | j)) & 1
+                   for i in range(4) for j in range(16))
+
 
 class TestHammingDistance:
     def test_examples(self):
