@@ -9,6 +9,7 @@ dimension, which keeps boundary matrices reproducible.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import namedtuple
 
@@ -225,7 +226,8 @@ def cross_polytope_witness_check(n: int, r: int, vertices) -> WitnessReport:
         if not 0 <= v < (1 << n):
             raise ValueError(f"label {v} out of range for dimension {n}")
 
-    far_pairs = [(a, b) for a, b in itertools.combinations(sorted(verts), 2)
+    order = sorted(verts)
+    far_pairs = [(a, b) for a, b in itertools.combinations(order, 2)
                  if hamming_distance(a, b) > r]
     far_degree = {v: 0 for v in verts}
     for a, b in far_pairs:
@@ -235,18 +237,18 @@ def cross_polytope_witness_check(n: int, r: int, vertices) -> WitnessReport:
     is_matching = all(d <= 1 for d in far_degree.values())
     is_boundary = bool(verts) and all(d == 1 for d in far_degree.values())
 
-    missing = {(v, v) for v, d in far_degree.items() if d == 0}
-    missing.update((a, b) for a, b in far_pairs
-                   if far_degree[a] > 1 or far_degree[b] > 1)
-
-    recovered = tuple(sorted(far_pairs)) if is_boundary else ()
+    # combinations() of the sorted list yields far_pairs in sorted order, so
+    # the (v, v) of the unpaired vertices merge in without a sort
+    missing = heapq.merge(
+        [(v, v) for v in order if not far_degree[v]],
+        (pair for pair in far_pairs if far_degree[pair[0]] > 1 or far_degree[pair[1]] > 1))
 
     return WitnessReport(
         is_matching_complement=is_matching,
         is_cross_polytope_boundary=is_boundary,
         is_total_dominating_in_complement=_dominates(n, r, verts),
-        missing_pairs=tuple(sorted(missing)),
-        recovered_pairs=recovered,
+        missing_pairs=tuple(missing),
+        recovered_pairs=tuple(far_pairs) if is_boundary else (),
     )
 
 

@@ -10,10 +10,10 @@ gradient path the first vertex falls strictly, so the matching is acyclic.
 The Morse boundary of a critical cell follows its gradient paths, summed
 in one pass over the paired cells in order of their first vertex, and
 rank d_p = pairs_p + rank of the Morse boundary in degree p: the pairs
-are counted, and only the Morse columns are built.  The ranks come from
-Gaussian elimination on sparse columns: a column whose leading row is new
-becomes a pivot as it is, and the rest are packed into integer bitsets and
-reduced once all those are in.
+are counted, and only the Morse columns are built.  A cycle bounds iff its
+image under the flow bounds in the Morse complex, so the cycle test builds
+no boundary matrix either.  One Gaussian elimination serves both: each
+Morse column is packed into an integer bitset and reduced in turn.
 
 An exact integer pipeline via Smith normal form gives free ranks and
 torsion.  It still ranks the full boundary matrices: one sparse
@@ -32,7 +32,7 @@ the complex was built to is TruncationTooShallow, never a silent zero.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import reduce
 from itertools import combinations, compress
 from math import gcd
@@ -96,10 +96,10 @@ class Gf2Columns:
     `units` unit columns.
 
     Each of `columns` is a tuple of row indices, its nonzero entries.
-    Iterating packs each column into an integer, bit i for row i.  The
-    number of rows bounds the rank, so an elimination stops there.  The
-    unit columns are an identity block on rows of their own, held as a
-    count: each adds one to the rank, and none is built or packed.
+    Iterating packs each column into an integer, bit i for row i: the one
+    place a column is packed.  The unit columns are an identity block on
+    rows of their own, held as a count: each adds one to the rank, and
+    none is built or packed.
     """
 
     __slots__ = ("n_rows", "columns", "units")
@@ -118,45 +118,30 @@ class Gf2Columns:
 
 def _gf2_reduce(cur, pivots) -> int:
     """A packed column reduced until its leading row is no pivot's; 0 if
-    it reduces to zero.  A sparse pivot is XORed in bit by bit."""
+    it reduces to zero."""
     while cur:
         pivot = pivots.get(cur.bit_length() - 1)
         if pivot is None:
             break
-        if type(pivot) is int:
-            cur ^= pivot
-        else:
-            for i in pivot:
-                cur ^= 1 << i
+        cur ^= pivot
     return cur
 
 
 def _gf2_pivots(columns) -> dict:
-    """Column echelon form over GF(2): reduced columns keyed by leading row.
+    """Column echelon form over GF(2): packed columns keyed by leading row.
 
-    `columns` is a Gf2Columns view, taken in one order whatever is asked.
-    A sparse column whose leading row is not yet a pivot becomes a pivot as
-    it is, never packed.  The columns that collide are reduced after all
-    the others, when every pivot they could meet is in: each is packed,
-    reduced, and kept packed if anything is left.  The pivots have distinct
-    leading rows and span the column space.  The elimination stops at as
-    many pivots as rows.
+    Each column of the Gf2Columns view is packed, reduced against the
+    pivots so far, and kept if anything is left.  The pivots have distinct
+    leading rows and span the column space.  The number of rows bounds the
+    rank, so the elimination stops at as many pivots as rows, and reads no
+    column of a view with no rows.
     """
-    full, cols = columns.n_rows, columns.columns
+    full = columns.n_rows
     pivots = {}
-    collided = []
-    for j, cur in enumerate(cols):
-        if not cur:
-            continue
-        lead = max(cur)
-        if lead in pivots:
-            collided.append(j)
-        else:
-            pivots[lead] = cur
-            if len(pivots) == full:
-                return pivots
-    for j in collided:
-        cur = _gf2_reduce(mask_of(cols[j]), pivots)
+    if not full:
+        return pivots
+    for cur in columns:
+        cur = _gf2_reduce(cur, pivots)
         if cur:
             pivots[cur.bit_length() - 1] = cur
             if len(pivots) == full:
@@ -219,20 +204,24 @@ def _flow(lead, rows, p) -> dict:
 def _gradient(k, top):
     """The lexicographic gradient on the top-skeleton, one degree at a time.
 
-    Yields, for p = 0..top, (lead, rows, cells, columns):
+    Yields, for p = 0..top, (lead, rows, cells, columns, flow):
     - lead, the pairs of degree p: sigma -> h for each (p-1)-cell sigma
       paired with the p-cell (h,) + sigma; in degree 0 the empty simplex
       () pairs with the least vertex;
     - rows and cells, the critical (p-1)- and p-cells, in the complex's
       order;
     - columns, the Morse boundary: for each critical p-cell, the tuple of
-      positions in rows of the sum of F over its facets.
+      positions in rows of the sum of F over its facets;
+    - flow, F on the (p-1)-cells (`_flow`), built once in each degree
+      p >= 1 with critical rows, else {}; `cycle_is_gf2_boundary` reads
+      the top degree's, even where no critical cell does.
 
     A cell is paired with a coface when it is a key of the next degree's
     lead, and with a facet tau[1:] when that maps to tau[0]; a cell is in
     at most one pair.  Cells of dimension top have no cofaces here, as the
-    truncated complex has none of theirs built.  A degree with no critical
-    rows or no critical cells needs no flow: its columns are zero.
+    truncated complex has none of theirs built.  Degree 0 needs no flow:
+    its one possible row, the empty simplex, is critical only when there
+    is no vertex.
     """
     lead = _leads(k.simplices(0))
     rows = [] if lead else [()]  # with no vertex, the empty simplex is critical
@@ -243,12 +232,12 @@ def _gradient(k, top):
         if len(cells) > len(up) + len(lead):
             down = lead.get
             critical = [s for s in cells if s not in up and down(s[1:]) != s[0]]
-        if rows and critical:
-            flow = _flow(lead, rows, p).get
-            columns = [tuple(iter_bits(_facet_sum(flow, c, p))) for c in critical]
+        flow = _flow(lead, rows, p) if p and rows else {}
+        if flow:
+            columns = [tuple(iter_bits(_facet_sum(flow.get, c, p))) for c in critical]
         else:
             columns = [()] * len(critical)
-        yield lead, rows, critical, columns
+        yield lead, rows, critical, columns, flow
         lead, rows = up, critical
 
 
@@ -326,7 +315,7 @@ def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     """
     _check_truncation(k, up_to)
     ranks = []
-    for lead, rows, _, columns in _gradient(k, up_to + 1):
+    for lead, rows, _, columns, _ in _gradient(k, up_to + 1):
         ranks.append(gf2_rank(BoundaryMatrix(len(rows), tuple(columns))
                               .gf2_columns(len(lead))))
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
@@ -480,25 +469,30 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
 
     The chain is an iterable of p-simplices (duplicates cancel); it must be a
     genuine cycle (boundary zero, and even vertex count when p = 0, so that
-    it represents a reduced class).  Requires the complex built to p + 1.
-    It bounds iff, packed, it reduces to 0 against the pivots of d_{p+1},
-    which have distinct leading rows and span im d_{p+1}.
+    it represents a reduced class), which its own facets decide.  Requires
+    the complex built to p + 1.  The flow F of the gradient on the
+    (p+1)-skeleton (`_gradient`) is a chain map onto the Morse complex and
+    a homotopy equivalence (Forman), so the chain bounds iff its image,
+    the XOR of F over its odd simplices, reduces to 0 against the pivots
+    of the Morse boundary in degree p + 1.  No boundary matrix is built.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     _check_truncation(k, p)
-    index = k.index_map(p)
+    simplices = set(k.simplices(p))
     odd = set()  # the p-simplices the chain holds an odd number of times
     for simplex in chain:
         s = tuple(simplex)
-        if s not in index:
+        if s not in simplices:
             raise ValueError(f"{s} is not a p-simplex of the complex")
-        odd ^= {index[s]}
-    bd = _operator(k, p).columns
-    rows = set()  # the rows of d_p the chain meets an odd number of times
-    for j in odd:
-        rows.symmetric_difference_update(bd[j])
-    if rows:
+        odd ^= {s}
+    # the facets the chain meets an odd number of times; a vertex's one
+    # facet is the empty simplex, so at p = 0 this is the augmentation
+    facets = set()
+    for s in odd:
+        facets.symmetric_difference_update(combinations(s, p))
+    if facets:
         raise ValueError("the chain is not a cycle")
-    cols = boundary_matrix(k, p + 1).gf2_columns()
-    return not _gf2_reduce(mask_of(odd), _gf2_pivots(cols))
+    _, rows, _, columns, flow = deque(_gradient(k, p + 1), maxlen=1)[0]
+    image = reduce(xor, filter(None, map(flow.get, odd)), 0)
+    return not _gf2_reduce(image, _gf2_pivots(Gf2Columns(len(rows), columns)))

@@ -252,6 +252,27 @@ class TestWitnessCheck:
         assert not dominating
         assert peak < 1 << 20, peak
 
+    def test_missing_pairs_merge_in_order(self):
+        # 1 has no far partner and 13 has two: (1, 1) sorts between them
+        rep = cx.cross_polytope_witness_check(4, 2, [13, 2, 1, 0])
+        assert rep.missing_pairs == ((0, 13), (1, 1), (2, 13))
+        assert not rep.is_matching_complement and rep.recovered_pairs == ()
+
+    def test_pair_scan_keeps_one_list_of_far_pairs(self):
+        # 79,947 far pairs among 512 words of Q_12 at r = 5, all missing:
+        # the list and the report's tuple of them peak near 6 MiB, a set
+        # and a sorted copy besides would pass 15 MiB
+        verts = [v * 2654435761 % 4096 for v in range(512)]
+        tracemalloc.start()
+        try:
+            rep = cx.cross_polytope_witness_check(12, 5, verts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.missing_pairs) == 79947
+        assert list(rep.missing_pairs) == sorted(set(rep.missing_pairs))
+        assert peak < 10 << 20, peak
+
     def test_errors(self):
         with pytest.raises(OddCount):
             cx.cross_polytope_witness_check(2, 1, [0, 1, 2])

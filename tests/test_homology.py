@@ -109,7 +109,7 @@ def assert_gradient(k, top):
     degrees = list(ho._gradient(k, top))
     assert len(degrees) == top + 1
     partner = {}
-    for p, (lead, _, _, _) in enumerate(degrees):
+    for p, (lead, *_) in enumerate(degrees):
         faces = set(by_dim[p - 1]) if p else {()}
         cofaces = set(by_dim[p])
         for sigma, h in lead.items():
@@ -119,7 +119,7 @@ def assert_gradient(k, top):
             partner[sigma] = tau
             partner[tau] = sigma
     assert degrees[0][1] == ([] if () in partner else [()])
-    for p, (_, rows, cells, _) in enumerate(degrees):
+    for p, (_, rows, cells, *_) in enumerate(degrees):
         assert cells == [s for s in by_dim[p] if s not in partner]
         if p:
             assert rows == degrees[p - 1][2]
@@ -155,7 +155,7 @@ def assert_gradient(k, top):
                 stack.pop()
 
     morse = []
-    for p, (lead, rows, cells, columns) in enumerate(degrees):
+    for p, (lead, rows, cells, columns, _) in enumerate(degrees):
         m = np.zeros((len(rows), len(cells)), dtype=np.uint8)
         for j, col in enumerate(columns):
             m[list(col), j] = 1
@@ -163,6 +163,22 @@ def assert_gradient(k, top):
         assert dense_gf2_rank(dense_boundary(by_dim, p)) == len(lead) + dense_gf2_rank(m)
         if p:
             assert not (morse[p - 1].astype(int) @ m % 2).any()
+
+    # the flow is a chain map onto the Morse complex: F(d x) = d^M F(x) on
+    # every cell x, with F on the top cells the identity on critical ones
+    flows = [flow for *_, flow in degrees] + [{c: 1 << i for i, c in enumerate(degrees[top][2])}]
+    for p in range(1, top + 1):
+        _, rows, _, columns, below = degrees[p]
+        assert all(below[c] == 1 << i for i, c in enumerate(rows))
+        morse_of = [sum(1 << i for i in col) for col in columns]
+        for x in by_dim[p]:
+            lhs = 0
+            for f in itertools.combinations(x, p):
+                lhs ^= below.get(f, 0)
+            rhs = 0
+            for i in iter_bits(flows[p + 1].get(x, 0)):
+                rhs ^= morse_of[i]
+            assert lhs == rhs, (p, x)
 
 
 def adamaszek_adams_beta3(n):
@@ -317,16 +333,6 @@ class TestBettiGf2:
                 raise AssertionError("a column after full row rank was read")
             assert ho.gf2_rank(ho.Gf2Columns(n_rows, identity_then_fail())) == n_rows
 
-    def test_deferred_columns_stop_at_full_row_rank(self):
-        # every column after the first collides at row 3; reduced in order,
-        # the fourth brings the rank to 4 and the copies after it are unread
-        class Columns(list):
-            def __getitem__(self, j):
-                assert j < 4, f"deferred column {j} read after full row rank"
-                return super().__getitem__(j)
-        cols = Columns([(0, 3), (1, 3), (2, 3), (3,), (3,), (3,)])
-        assert ho.gf2_rank(ho.Gf2Columns(4, cols)) == 4
-
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices(), st.integers(0, 3))
     def test_view_ranks_as_its_packed_columns(self, bm, units):
@@ -374,7 +380,7 @@ class TestGradient:
         # the boundary of the 8-dimensional cross-polytope, a 7-sphere
         k = cx.vietoris_rips(4, 3, 7)
         assert_gradient(k, 7)
-        assert [len(cells) for _, _, cells, _ in ho._gradient(k, 7)] == [0] * 7 + [1]
+        assert [len(cells) for _, _, cells, *_ in ho._gradient(k, 7)] == [0] * 7 + [1]
 
     @pytest.mark.parametrize("n, r, top, critical, cells", [
         (5, 3, 8, (0, 0, 0, 16, 113, 231, 197, 72, 80), 84216),
@@ -384,7 +390,7 @@ class TestGradient:
     def test_critical_cell_counts(self, n, r, top, critical, cells):
         k = cx.vietoris_rips(n, r, top)
         assert sum(k.f_vector()) == cells
-        assert tuple(len(c) for _, _, c, _ in ho._gradient(k, top)) == critical
+        assert tuple(len(c) for _, _, c, *_ in ho._gradient(k, top)) == critical
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +403,28 @@ def reference():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return module
+
+
+def reference_bounds(reference, k, chain, p):
+    """Whether a p-chain of k bounds, by the bench reference's elimination:
+    its packed column leaves the rank of d_{p+1} unchanged."""
+    index = k.index_map(p)
+    cols = []
+    for s in k.simplices(p + 1):
+        col = 0
+        for t in range(p + 2):
+            col ^= 1 << index[s[:t] + s[t + 1:]]
+        cols.append(col)
+    c = 0
+    for s in chain:
+        c ^= 1 << index[s]
+    return reference.gf2_rank(cols + [c]) == reference.gf2_rank(cols)
+
+
+@pytest.fixture(scope="module")
+def q5_r3():
+    """VR(Q_5;3) built to dimension 5: beta~_4 = 1."""
+    return cx.vietoris_rips(5, 3, 5)
 
 
 class TestIndependentGf2:
@@ -636,3 +664,50 @@ class TestCycleIsBoundary:
         k = cx.vietoris_rips(2, 1, 1)
         with pytest.raises(TruncationTooShallow):
             ho.cycle_is_gf2_boundary(k, k.simplices(1), 1)
+
+    def test_cross_polytope_witness_does_not_bound(self, reference, q5_r3):
+        # {e_i, ~e_i : i < 5} is a cross-polytope in VR(Q_5;3), and its
+        # fundamental 4-cycle is the class of beta~_4 = 1
+        verts = [w for i in range(5) for w in (1 << i, 31 ^ 1 << i)]
+        report = cx.cross_polytope_witness_check(5, 3, verts)
+        assert report.is_cross_polytope_boundary
+        cycle = cx.fundamental_cycle(report.recovered_pairs)
+        assert len(cycle) == 32
+        assert not ho.cycle_is_gf2_boundary(q5_r3, cycle, 4)
+        assert not reference_bounds(reference, q5_r3, cycle, 4)
+        assert ho.betti_gf2(q5_r3, 4).reduced_betti[4] == 1
+
+    def test_simplex_boundary_bounds(self, reference, q5_r3):
+        top = q5_r3.simplices(5)[-1]
+        chain = list(itertools.combinations(top, 5))
+        assert ho.cycle_is_gf2_boundary(q5_r3, chain, 4)
+        assert reference_bounds(reference, q5_r3, chain, 4)
+
+    def test_peak_memory_of_q6_r3(self):
+        # d_3 and d_4 built whole would peak at 29 MiB; the gradient's flow
+        # and Morse columns on the 4-skeleton stay near 11 MiB
+        k = cx.vietoris_rips(6, 3, 4)
+        cycle = cx.fundamental_cycle([(1 << i, 31 ^ 1 << i) for i in range(4)])
+        tracemalloc.start()
+        try:
+            bounds = ho.cycle_is_gf2_boundary(k, cycle, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds  # beta~_3 of VR(Q_6;3) is 0
+        assert peak <= 16 << 20
+
+
+def test_gf2_paths_build_no_boundary_matrix(monkeypatch, q5_r3):
+    def refuse(k, p):
+        raise AssertionError(f"d_{p} built on a GF(2) path")
+    monkeypatch.setattr(ho, "boundary_matrix", refuse)
+    assert ho.betti_gf2(q5_r3, 4).reduced_betti == (0, 0, 0, 0, 1)
+    assert ho.reduced_homology(q5_r3, 4).reduced_betti == (0, 0, 0, 0, 1)
+    assert ho.cycle_is_gf2_boundary(q5_r3, [(0,), (31,)], 0)
+    assert ho.cycle_is_gf2_boundary(q5_r3, [(0, 1), (1, 3), (0, 2), (2, 3)], 1)
+    chain = itertools.combinations(q5_r3.simplices(5)[0], 5)
+    assert ho.cycle_is_gf2_boundary(q5_r3, chain, 4)
+    # the patch is in force: the integer path still builds d_p
+    with pytest.raises(AssertionError, match="d_1 built"):
+        ho.reduced_homology(q5_r3, 0, "z")

@@ -117,8 +117,9 @@ def test_private_name_scan_flags_both_forms(tmp_path):
     assert _foreign_private_reads(source) == [(2, "_pivots"), (3, "bounds._grid")]
 
 
-# ROADMAP item 1 (a proven upper bound next to every lower bound) gives these
-# their package callers; until then they are exported without one
+# ROADMAP item 2 (the connectivity sandwich: a proven upper bound next to
+# every lower bound, and `witness` testing its cycle) gives these their
+# package callers; until then they are exported without one
 AWAITING_CALLERS = {"fundamental_cycle", "cycle_is_gf2_boundary", "consistency_check_2r"}
 
 
