@@ -22,7 +22,7 @@ from . import __version__
 from .errors import (DegenerateScale, DimensionOutOfRange, DimensionTooLarge,
                      DuplicateVertex, IsolatedVertex, OddCount, ParseError,
                      SelfCheckFailed, TooLarge, TruncationTooShallow)
-from .render import FORMATS, encode, make_envelope
+from .render import FORMATS, Rows, encode, make_envelope
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -176,22 +176,22 @@ def _cmd_table(args):
     if args.paper:
         if args.n_max is not None or args.r_max is not None:
             raise ValueError("--paper excludes --n-max/--r-max")
-        rows = [{"n": n, "r": r, "connectivity": c, "printed": printed,
-                 "agrees": c == printed}
+        rows = [(n, r, c, printed, c == printed)
                 for n, r, c, printed in bounds.reference_table()]
     else:
         if args.n_max is None:
             raise ValueError("--n-max is required without --paper")
-        rows = [{"n": n, "r": r, "connectivity": c, "printed": None, "agrees": None}
+        rows = [(n, r, c, None, None)
                 for n, r, c in bounds.grid_table(args.n_max, args.r_max)]
-    return {"paper": args.paper, "rows": rows}
+    return {"paper": args.paper,
+            "rows": Rows(("n", "r", "connectivity", "printed", "agrees"), rows)}
 
 
 def _cmd_counterexamples(args):
     from . import bounds
-    pairs = bounds.counterexample_scan(args.n_max)
     return {"n_max": args.n_max,
-            "pairs": [{"n": n, "r": r, "connectivity": c} for n, r, c in pairs]}
+            "pairs": Rows(("n", "r", "connectivity"),
+                          bounds.counterexample_scan(args.n_max))}
 
 
 def _dimacs_graph(m, edges):

@@ -3,15 +3,27 @@
 Every command wraps its payload in the same envelope; identical invocations
 produce byte-identical output except for the provenance.wall_clock field.
 CSV and Markdown render a per-command tabular projection of the result;
-JSON always carries the whole envelope.
+JSON always carries the whole envelope.  A long list of records travels as
+`Rows`: JSON prints it as the list of objects json.dumps(indent=2) would,
+from one % template per row, and CSV and Markdown print its tuples as they
+are wherever their cells allow.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from collections import namedtuple
+from itertools import chain
+from operator import itemgetter
 
 FORMATS = ("json", "csv", "md")
+
+Rows = namedtuple("Rows", "keys tuples")
+Rows.__doc__ = """Records as tuples: each tuple in `tuples` holds one record's
+values in the order of the field names `keys`, of which there is at least
+one.  In JSON a Rows is a list of objects; it may stand as the value of a
+dict with str keys."""
 
 
 def make_envelope(command, params, result, version, started_utc, elapsed_s, status="ok"):
@@ -45,44 +57,41 @@ def _rows_bound(result):
                "k", "connectivity", "paper_printed"]
     a = result["alpha"] or {}
     printed = result["paper_discrepancy"]["printed"] if result["paper_discrepancy"] else None
-    return headers, [[result["n"], result["r"], result["contractible"],
+    return headers, [(result["n"], result["r"], result["contractible"],
                       a.get("numerator"), a.get("denominator"),
-                      result["k"], result["connectivity"], printed]]
+                      result["k"], result["connectivity"], printed)]
 
 
 def _rows_table(result):
-    headers = ["n", "r", "connectivity", "printed", "agrees"]
-    return headers, [[row["n"], row["r"], row["connectivity"], row["printed"], row["agrees"]]
-                     for row in result["rows"]]
+    return result["rows"]
 
 
 def _rows_counterexamples(result):
-    headers = ["n", "r", "connectivity"]
-    return headers, [[p["n"], p["r"], p["connectivity"]] for p in result["pairs"]]
+    return result["pairs"]
 
 
 def _rows_gamma_t(result):
     headers = ["kind", "m", "max_degree", "mode", "lower", "upper", "exact",
                "status", "witness"]
     gr = result["graph"]
-    return headers, [[gr["kind"], gr["m"], gr["max_degree"], result["mode"],
+    return headers, [(gr["kind"], gr["m"], gr["max_degree"], result["mode"],
                       result["lower"], result["upper"], result["exact"],
-                      result["status"], result["witness"]]]
+                      result["status"], result["witness"])]
 
 
 def _rows_complex(result):
     headers = ["n", "r", "max_dim", "simplex_count", "euler_characteristic",
                "f_vector", "out"]
-    return headers, [[result["n"], result["r"], result["max_dim"],
+    return headers, [(result["n"], result["r"], result["max_dim"],
                       result["simplex_count"], result["euler_characteristic"],
-                      result["f_vector"], result["out"]]]
+                      result["f_vector"], result["out"])]
 
 
 def _rows_homology(result):
     headers = ["dim", "reduced_betti", "torsion"]
     torsion = result["torsion"]
-    return headers, [[d, result["reduced_betti"][d],
-                      torsion[d] if torsion is not None else None]
+    return headers, [(d, result["reduced_betti"][d],
+                      torsion[d] if torsion is not None else None)
                      for d in result["dims"]]
 
 
@@ -91,12 +100,12 @@ def _rows_witness(result):
                "is_cross_polytope_boundary", "is_total_dominating_in_complement",
                "missing_pairs", "recovered_pairs"]
     fmt_pairs = lambda ps: ";".join(f"{a},{b}" for a, b in ps)
-    return headers, [[result["n"], result["r"], result["vertices"],
+    return headers, [(result["n"], result["r"], result["vertices"],
                       result["is_matching_complement"],
                       result["is_cross_polytope_boundary"],
                       result["is_total_dominating_in_complement"],
                       fmt_pairs(result["missing_pairs"]),
-                      fmt_pairs(result["recovered_pairs"])]]
+                      fmt_pairs(result["recovered_pairs"]))]
 
 
 _PROJECTIONS = {
@@ -110,23 +119,105 @@ _PROJECTIONS = {
 }
 
 
+def _slots(tuples, width, null, convert):
+    """Each column's template slot and the function its cells go through
+    first, or None: a column of ints prints by %d, a column of None as the
+    literal `null` (its %.0s takes the cell and prints nothing), any other
+    through `convert`."""
+    slots = []
+    for i in range(width):
+        kinds = set(map(type, map(itemgetter(i), tuples)))
+        if kinds == {int}:
+            slots.append(("%d", None))
+        elif kinds == {type(None)}:
+            slots.append((null + "%.0s", None))
+        else:
+            slots.append(("%s", convert))
+    return slots
+
+
+def _fill(template, tuples, slots):
+    """template % row for each row, each cell first through its slot's
+    function, if it has one."""
+    convert = [f for _, f in slots]
+    if not any(convert):
+        return map(template.__mod__, tuples)
+    return (template % tuple([v if f is None else f(v) for f, v in zip(convert, row)])
+            for row in tuples)
+
+
+def _json_rows(rows, depth, out):
+    """Append rows as json.dumps(indent=2) writes their list of objects
+    `depth` levels deep: one template per row, ',' and its indent first."""
+    keys, tuples = rows
+    if not tuples:
+        out.append("[]")
+        return
+    pad = "\n" + "  " * (depth + 2)
+    slots = _slots(tuples, len(keys), "null",
+                   lambda v: json.dumps(v, indent=2).replace("\n", pad))
+    fields = [pad + json.dumps(key).replace("%", "%%") + ": " + slot
+              for key, (slot, _) in zip(keys, slots)]
+    close = "\n" + "  " * (depth + 1)
+    filled = _fill("," + close + "{" + ",".join(fields) + close + "}", tuples, slots)
+    out.append("[" + next(filled)[1:])
+    out.extend(filled)
+    out.append("\n" + "  " * depth + "]")
+
+
+def _holds_rows(value):
+    return any(type(v) is Rows or type(v) is dict and _holds_rows(v)
+               for v in value.values())
+
+
+def _json(value, depth, out):
+    """Append value as json.dumps(value, indent=2) writes it `depth` levels
+    deep.  Only the dicts on the way to a Rows are walked here; json.dumps
+    writes the rest, and as a JSON string holds no raw newline, each of its
+    newlines starts a line to indent."""
+    if type(value) is Rows:
+        _json_rows(value, depth, out)
+    elif type(value) is dict and _holds_rows(value):
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{"
+        for key, item in value.items():
+            out.append(sep + pad + json.dumps(key) + ": ")
+            _json(item, depth + 1, out)
+            sep = ","
+        out.append("\n" + "  " * depth + "}")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth))
+
+
+def _md_cell(value):
+    # a bare '|' would end the cell
+    return _cell(value).replace("|", "\\|")
+
+
 def encode(envelope, fmt: str) -> str:
     if fmt == "json" or envelope["status"] != "ok":
         # tabular formats still need to surface failures
-        return json.dumps(envelope, indent=2) + "\n"
+        out = []
+        _json(envelope, 0, out)
+        out.append("\n")
+        return "".join(out)
     headers, rows = _PROJECTIONS[envelope["command"]](envelope["result"])
     if fmt == "csv":
         import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        # csv writes int, str and float cells as _cell does, and None as ""
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if any(issubclass(t, (bool, list, tuple)) for t in kinds):
+            rows = ([_cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
         return buf.getvalue()
     if fmt == "md":
-        lines = ["| " + " | ".join(headers) + " |",
-                 "| " + " | ".join("---" for _ in headers) + " |"]
-        for row in rows:
-            lines.append("| " + " | ".join(_cell(v) for v in row) + " |")
-        return "\n".join(lines) + "\n"
+        lines = ["| " + " | ".join(headers) + " |\n",
+                 "| " + " | ".join("---" for _ in headers) + " |\n"]
+        slots = _slots(rows, len(headers), "", _md_cell)
+        template = "| " + " | ".join(slot for slot, _ in slots) + " |\n"
+        lines.extend(_fill(template, rows, slots))
+        return "".join(lines)
     raise ValueError(f"unknown format {fmt!r}")

@@ -16,6 +16,9 @@ files and name the same first fault.
 `reference_dominates` is the witness checker's domination test as it was,
 one popcount per word of Q_n and vertex, which the split ball scan must
 match.
+`reference_json`, `reference_csv` and `reference_md` are the output
+encoders as they were, the envelope through json.dumps(indent=2) and the
+tables one cell at a time, which the template encoders must match.
 `tight_example_graph` is a fixture: a gadget family on which the trivial
 bound ceil(m / max_degree) is exact; `dimacs_text` writes a graph as DIMACS
 input.
@@ -23,7 +26,10 @@ input.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -33,6 +39,7 @@ import numpy as np
 from vrhq.complexes import SimplicialComplex
 from vrhq.errors import ParseError
 from vrhq.hypercube import Graph
+from vrhq.render import Rows
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -457,3 +464,47 @@ def is_vertex_transitive(rows) -> bool:
                     orbit.add(p[v])
                     frontier.append(p[v])
     return m > 0
+
+
+def rows_as_dicts(value):
+    """value with every Rows in it, at any depth of dicts, replaced by the
+    list of dicts it stands for."""
+    if isinstance(value, Rows):
+        return [dict(zip(value.keys, t)) for t in value.tuples]
+    if isinstance(value, dict):
+        return {k: rows_as_dicts(v) for k, v in value.items()}
+    return value
+
+
+def reference_json(envelope) -> str:
+    return json.dumps(rows_as_dicts(envelope), indent=2) + "\n"
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return " ".join(reference_cell(v) for v in value)
+    return str(value)
+
+
+def reference_csv(headers, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([reference_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def reference_md(headers, rows) -> str:
+    """The Markdown loop as it was, with one change made since: a '|' in a
+    cell is escaped as '\\|'."""
+    lines = ["| " + " | ".join(headers) + " |",
+             "| " + " | ".join("---" for _ in headers) + " |"]
+    for row in rows:
+        lines.append("| " + " | ".join(reference_cell(v).replace("|", "\\|")
+                                       for v in row) + " |")
+    return "\n".join(lines) + "\n"

@@ -571,14 +571,17 @@ class TestGammaT64:
         assert res["lower"] == res["upper"] == res["exact"] == len(res["witness"])
 
 
+DETERMINISM_ARGV = [
+    ["table", "--paper"],
+    ["counterexamples", "--n-max", "8"],
+    ["homology", "--n", "3", "--r", "2", "--up-to", "3"],
+    ["witness", "--n", "2", "--r", "1", "--vertices", "0,1,2,3"],
+    ["gamma-t", "--n", "4", "--r", "2"],
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("argv", [
-        ["table", "--paper"],
-        ["counterexamples", "--n-max", "8"],
-        ["homology", "--n", "3", "--r", "2", "--up-to", "3"],
-        ["witness", "--n", "2", "--r", "1", "--vertices", "0,1,2,3"],
-        ["gamma-t", "--n", "4", "--r", "2"],
-    ])
+    @pytest.mark.parametrize("argv", DETERMINISM_ARGV)
     def test_identical_invocations_identical_envelopes(self, capsys, argv):
         _, a = run_json(capsys, *argv)
         _, b = run_json(capsys, *argv)
@@ -587,7 +590,8 @@ class TestDeterminism:
 
 
 # The exact CSV and Markdown bytes of the commands whose tabular projections
-# no other test renders; {out} stands for the complex file written.
+# no other test renders; {out} stands for the complex file written.  A '|'
+# in a Markdown cell is escaped, or it would end the cell.
 GOLDEN_TABLES = [
     (["bound", "--n", "20", "--r", "18"], "csv",
      "n,r,contractible,alpha_numerator,alpha_denominator,k,connectivity,paper_printed\n"
@@ -636,6 +640,10 @@ GOLDEN_TABLES = [
      "| n | r | max_dim | simplex_count | euler_characteristic | f_vector | out |\n"
      "| --- | --- | --- | --- | --- | --- | --- |\n"
      "| 3 | 2 | 3 | 80 | 0 | 8 24 32 16 | {out} |\n"),
+    (["complex", "--n", "2", "--r", "1", "--max-dim", "1", "--out", "{out}|b.cx"], "md",
+     "| n | r | max_dim | simplex_count | euler_characteristic | f_vector | out |\n"
+     "| --- | --- | --- | --- | --- | --- | --- |\n"
+     "| 2 | 1 | 1 | 8 | 0 | 4 4 | {out}\\|b.cx |\n"),
     (["witness", "--n", "3", "--r", "2", "--vertices", "0,7"], "csv",
      "n,r,vertices,is_matching_complement,is_cross_polytope_boundary,"
      "is_total_dominating_in_complement,missing_pairs,recovered_pairs\n"
