@@ -466,18 +466,14 @@ def is_vertex_transitive(rows) -> bool:
     return m > 0
 
 
-def rows_as_dicts(value):
-    """value with every Rows in it, at any depth of dicts, replaced by the
-    list of dicts it stands for."""
-    if isinstance(value, Rows):
-        return [dict(zip(value.keys, t)) for t in value.tuples]
-    if isinstance(value, dict):
-        return {k: rows_as_dicts(v) for k, v in value.items()}
-    return value
-
-
 def reference_json(envelope) -> str:
-    return json.dumps(rows_as_dicts(envelope), indent=2) + "\n"
+    """json.dumps(indent=2) of the envelope, each Rows among the values of
+    its result first replaced by the list of dicts it stands for."""
+    result = envelope["result"]
+    if isinstance(result, dict):
+        result = {k: [dict(zip(v.keys, t)) for t in v.tuples] if isinstance(v, Rows) else v
+                  for k, v in result.items()}
+    return json.dumps({**envelope, "result": result}, indent=2) + "\n"
 
 
 def reference_cell(value) -> str:

@@ -52,14 +52,28 @@ def envelope(result, status="ok"):
                                 status)
 
 
+OTHER_VALUES = st.one_of(st.none(), st.booleans(), BIG, TEXT,
+                         st.lists(st.one_of(BIG, TEXT), max_size=2),
+                         st.dictionaries(TEXT, st.one_of(BIG, st.none()), max_size=2))
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(tables(), st.lists(TEXT, max_size=3))
-def test_json_matches_json_dumps_at_any_depth(rows, path):
-    result = {"paper": False, "rows": rows}
-    for name in path:
-        result = {name: result, "after": [1, {"x": None}]}
-    env = envelope(result)
+@hypothesis.given(tables(), st.dictionaries(TEXT, OTHER_VALUES, max_size=3),
+                  st.integers(min_value=0, max_value=3))
+def test_json_matches_json_dumps(rows, others, at):
+    # the Rows stands among other values of the result, as in `table`
+    items = [(k, v) for k, v in others.items() if k != "rows"]
+    items.insert(min(at, len(items)), ("rows", rows))
+    env = envelope(dict(items))
     assert render.encode(env, "json") == reference_json(env)
+
+
+def test_json_rejects_rows_outside_the_result_values():
+    rows = Rows(("n",), [(1,)])
+    for env in (envelope({"nested": {"rows": rows}}), envelope({"rows": [rows]}),
+                envelope(rows)):
+        with pytest.raises(TypeError):
+            render.encode(env, "json")
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
