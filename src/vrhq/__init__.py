@@ -23,8 +23,8 @@ _EXPORTS = {
                   "vietoris_rips", "write_complex_file"),
     "domination": ("DominationResult", "exact_gamma_t", "gamma_t_exhaustive",
                    "greedy_upper_bound", "is_total_dominating", "trivial_lower_bound"),
-    "homology": ("BettiProfile", "BoundaryMatrix", "betti_gf2", "boundary_matrix",
-                 "cycle_is_gf2_boundary", "reduced_homology", "smith_normal_form"),
+    "homology": ("BettiProfile", "BoundaryMatrix", "betti_gf2", "cycle_is_gf2_boundary",
+                 "reduced_homology", "smith_normal_form"),
     "hypercube": ("Graph", "build_hamming_graph", "hamming_distance", "read_dimacs",
                   "vertex_transitive"),
 }

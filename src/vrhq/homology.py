@@ -15,14 +15,17 @@ image under the flow bounds in the Morse complex, so the cycle test builds
 no boundary matrix either.  One Gaussian elimination serves both: each
 Morse column is packed into an integer bitset and reduced in turn.
 
-An exact integer pipeline via Smith normal form gives free ranks and
-torsion.  It still ranks the full boundary matrices: one sparse
-elimination takes the columns in order and pivots each at its entry of
-least absolute value, a +-1 wherever the column has one.  Its size cap
-bounds the rows and columns of each boundary matrix and is checked
-against the f-vector before any matrix is built.  The same gradient would
-serve it, since a pair's incidence is +-1, once the Morse boundary carries
-signs and the cap is restated on the Morse complex.
+The integer pipeline ranks the same Morse complex: one gradient walk
+serves both rings, each passing in its chain arithmetic.  Over the
+integers the flow and the Morse boundary take a signed facet sum, and a
+pair's incidence is +-1, so each pair is a unit block and the Morse
+boundary carries all the torsion.  The SNF cap bounds the critical rows
+and nonzero Morse columns of each degree, and is checked before the
+degree's dense matrix is built.  One sparse elimination brings that
+matrix to a diagonal, taking the columns in order and pivoting each at
+its entry of least absolute value, a +-1 wherever the column has one.
+No homology path builds a boundary matrix: `boundary_matrix` and
+`BoundaryMatrix.dense_rows` remain as the tests' full-matrix reference.
 
 Reduced homology uses the augmentation map as the dimension-0 boundary, so
 beta~_0 = components - 1 falls out of the same code path as every other
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import reduce
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from math import gcd
 from operator import itemgetter, xor
 
@@ -81,14 +84,6 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> BoundaryMatrix:
     cols = tuple([tuple(map(row_of, combinations(simplex, p)))[::-1]
                   for simplex in k.simplices(p)])
     return BoundaryMatrix(len(k.simplices(p - 1)), cols)
-
-
-def _operator(k, p):
-    """d_p, with d_0 the augmentation map: one row, one column per vertex."""
-    if p:
-        return boundary_matrix(k, p)
-    f0 = len(k.simplices(0))
-    return BoundaryMatrix(1 if f0 else 0, ((0,),) * f0)
 
 
 class Gf2Columns:
@@ -172,37 +167,60 @@ def _leads(cells) -> dict:
     return lead
 
 
-def _facet_sum(get, cell, p) -> int:
-    """The XOR of get(f) over the p-vertex facets f of cell, None read as 0."""
+def _facet_sum(get, cell, p, sign=1) -> int:
+    """The XOR of get(f) over the p-vertex facets f of cell, None read as
+    0: the facet sum over GF(2), where signs vanish."""
     return reduce(xor, filter(None, map(get, combinations(cell, p))), 0)
 
 
-def _flow(lead, rows, p) -> dict:
-    """The gradient flow F on the (p-1)-cells, nonzero values only, as a
-    bitset with bit i for the critical cell rows[i].
+def _signed_sum(get, cell, p, sign=1) -> dict:
+    """sign * sum_t (-1)^t get(d_t cell) over the integers, d_t cell the
+    facet that omits vertex t, each value a {row: coefficient} dict, None
+    read as 0.  The i-th facet that combinations() yields omits vertex
+    p - i, so its sign is (-1)^(p + i)."""
+    out = {}
+    for t, v in enumerate(map(get, combinations(cell, p)), p):
+        if v:
+            for i, a in v.items():
+                out[i] = out.get(i, 0) + (-a if t & 1 else a)
+    return {i: sign * a for i, a in out.items() if a}
+
+
+# A ring's chain arithmetic for the gradient walk: F on the critical cell
+# rows[i], the facet sum, a Morse column from a sum, and the zero column.
+# GF(2) chains are bitsets and its columns tuples of rows; integer chains
+# and columns are {row: coefficient} dicts.
+_GF2 = (lambda i: 1 << i, _facet_sum, lambda v: tuple(iter_bits(v)), ())
+_Z = (lambda i: {i: 1}, _signed_sum, lambda v: v, {})
+
+
+def _flow(lead, rows, p, unit, facet_sum) -> dict:
+    """The gradient flow F on the (p-1)-cells, nonzero values only, as
+    chains on the critical cells rows, F(rows[i]) = unit(i).
 
     F(c) = c on a critical cell and 0 on a cell paired with a facet.  A
-    cell sigma paired with tau = (h,) + sigma maps to the sum of F over
-    the other facets of tau.  Each of them starts with h < sigma[0], so the
-    cells are taken in order of their first vertex and every value read is
-    final.  By the same descent, F(sigma) = 0 unless some critical cell
-    starts below sigma[0], so the cells that start no higher than every
-    critical one are skipped.
+    cell sigma paired with tau = (h,) + sigma, the facet d_0 tau, maps to
+    -sum_{t>=1} (-1)^t F(d_t tau), so that F(d tau) = 0.  Each d_t tau with
+    t >= 1 starts with h < sigma[0], so the cells are taken in order of
+    their first vertex and every value read is final.  By the same
+    descent, F(sigma) = 0 unless some critical cell starts below
+    sigma[0], so the cells that start no higher than every critical one
+    are skipped.
     """
-    flow = {c: 1 << i for i, c in enumerate(rows)}
+    flow = {c: unit(i) for i, c in enumerate(rows)}
     get = flow.get
     least = min(c[0] for c in rows)
     for sigma in sorted([s for s in lead if s[0] > least], key=itemgetter(0)):
-        # the last facet of tau that combinations() yields omits tau[0]:
-        # sigma itself, not yet in flow
-        v = _facet_sum(get, (lead[sigma],) + sigma, p)
+        # d_0 tau is sigma itself, not yet in flow
+        v = facet_sum(get, (lead[sigma],) + sigma, p, -1)
         if v:
             flow[sigma] = v
     return flow
 
 
-def _gradient(k, top):
-    """The lexicographic gradient on the top-skeleton, one degree at a time.
+def _gradient(k, top, ring=_GF2):
+    """The lexicographic gradient on the top-skeleton, one degree at a time,
+    its flow and Morse boundary in the ring's chains (_GF2 or _Z).
 
     Yields, for p = 0..top, (lead, rows, cells, columns, flow):
     - lead, the pairs of degree p: sigma -> h for each (p-1)-cell sigma
@@ -210,8 +228,9 @@ def _gradient(k, top):
       () pairs with the least vertex;
     - rows and cells, the critical (p-1)- and p-cells, in the complex's
       order;
-    - columns, the Morse boundary: for each critical p-cell, the tuple of
-      positions in rows of the sum of F over its facets;
+    - columns, the Morse boundary: for each critical p-cell c, the sum
+      of (-1)^t F(d_t c) over its facets, as a column on rows (a tuple
+      of rows over GF(2), a {row: coefficient} dict over Z);
     - flow, F on the (p-1)-cells (`_flow`), built once in each degree
       p >= 1 with critical rows, else {}; `cycle_is_gf2_boundary` reads
       the top degree's, even where no critical cell does.
@@ -221,8 +240,9 @@ def _gradient(k, top):
     at most one pair.  Cells of dimension top have no cofaces here, as the
     truncated complex has none of theirs built.  Degree 0 needs no flow:
     its one possible row, the empty simplex, is critical only when there
-    is no vertex.
+    is no vertex.  With an empty flow every Morse column is zero.
     """
+    unit, facet_sum, column, zero = ring
     lead = _leads(k.simplices(0))
     rows = [] if lead else [()]  # with no vertex, the empty simplex is critical
     for p in range(top + 1):
@@ -232,11 +252,11 @@ def _gradient(k, top):
         if len(cells) > len(up) + len(lead):
             down = lead.get
             critical = [s for s in cells if s not in up and down(s[1:]) != s[0]]
-        flow = _flow(lead, rows, p) if p and rows else {}
+        flow = _flow(lead, rows, p, unit, facet_sum) if p and rows else {}
         if flow:
-            columns = [tuple(iter_bits(_facet_sum(flow.get, c, p))) for c in critical]
+            columns = [column(facet_sum(flow.get, c, p)) for c in critical]
         else:
-            columns = [()] * len(critical)
+            columns = [zero] * len(critical)
         yield lead, rows, critical, columns, flow
         lead, rows = up, critical
 
@@ -414,15 +434,18 @@ def _invariant_factors(diagonal) -> tuple[int, ...]:
     return (1,) * ones + tuple(d)
 
 
-def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP,
+                      units: int = 0) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix,
+    beside `units` unit columns on rows of their own.
 
     One exact sparse elimination (`_diagonalize`) brings the matrix to a
     diagonal by unimodular row and column operations, pivoting each
     column in turn at its entry of least absolute value (`_pivots`).
     The diagonal's entries are then put into a divisibility chain
-    (`_invariant_factors`).  Matrices with more than cap rows or columns
-    raise TooLarge.
+    (`_invariant_factors`).  The unit columns are an identity block, held
+    as a count: each adds a factor 1, and none is built.  Matrices with
+    more than cap rows or columns raise TooLarge.
     """
     rows = list(matrix)
     nr = len(rows)
@@ -432,18 +455,26 @@ def smith_normal_form(matrix, cap: int = DEFAULT_SNF_CAP) -> tuple[int, ...]:
     _check_snf_cap(nr, nc, cap)
     sparse = [{j: a for j, v in compress(enumerate(row), row) if (a := int(v))}
               for row in rows]
-    return _invariant_factors(_diagonalize(sparse, nc))
+    return (1,) * units + _invariant_factors(_diagonalize(sparse, nc))
 
 
 def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2",
                      snf_cap: int | None = None) -> BettiProfile:
     """Reduced homology beta~_0..beta~_up_to over GF(2) or the integers.
 
-    The integer pipeline reports free ranks plus the invariant factors > 1
-    per degree; ranks come from the same Smith normal forms.  Every
-    operator's shape is checked against snf_cap (TooLarge; DEFAULT_SNF_CAP
-    when None) before any boundary matrix is built.  The cap bounds the
-    integer pipeline only: with "gf2" a cap is a ValueError.
+    Both rank the Morse complex of the lexicographic gradient on the
+    (up_to+1)-skeleton (`_gradient`).  Over the integers the flow and the
+    Morse boundary carry signs, and F is again a chain map and a homotopy
+    equivalence onto the Morse complex (Forman).  After a change of basis
+    along the gradient, d_p is a +-1 unit block on the pairs of degree p
+    beside the Morse boundary, so each degree hands `smith_normal_form`
+    the Morse boundary's nonzero columns, dense, with the pairs as a count
+    of unit columns: the factors it returns are those of d_p.  Free ranks
+    follow from their number, and the torsion of degree p is the factors
+    > 1 of d_{p+1}.  The critical rows and nonzero columns of each degree
+    are checked against snf_cap (TooLarge; DEFAULT_SNF_CAP when None)
+    before its dense matrix is built; no boundary matrix is.  The cap
+    bounds the integer pipeline only: with "gf2" a cap is a ValueError.
     """
     if coefficients not in ("gf2", "z"):
         raise ValueError("coefficients must be 'gf2' or 'z'")
@@ -451,14 +482,14 @@ def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2"
         if snf_cap is not None:
             raise ValueError("snf_cap caps coefficients 'z' only")
         return betti_gf2(k, up_to)
-    if snf_cap is None:
-        snf_cap = DEFAULT_SNF_CAP
+    cap = DEFAULT_SNF_CAP if snf_cap is None else snf_cap
     _check_truncation(k, up_to)
-    f = [len(k.simplices(p)) for p in range(up_to + 2)]
-    for p in range(up_to + 2):
-        _check_snf_cap(f[p - 1] if p else min(f[0], 1), f[p], snf_cap)
-    snfs = [smith_normal_form(_operator(k, p).dense_rows(), cap=snf_cap)
-            for p in range(up_to + 2)]
+    snfs = []
+    for lead, rows, _, columns, _ in _gradient(k, up_to + 1, _Z):
+        cols = list(filter(None, columns))
+        _check_snf_cap(len(rows), len(cols), cap)
+        dense = [list(map(dict.get, cols, repeat(i), repeat(0))) for i in range(len(rows))]
+        snfs.append(smith_normal_form(dense, cap, units=len(lead)))
     betti = _reduced_betti(k, [len(s) for s in snfs])
     torsion = tuple(tuple(d for d in snfs[i + 1] if d > 1) for i in range(up_to + 1))
     return BettiProfile(betti, "z", up_to, torsion=torsion)

@@ -19,6 +19,10 @@ match.
 `reference_json`, `reference_csv` and `reference_md` are the output
 encoders as they were, the envelope through json.dumps(indent=2) and the
 tables one cell at a time, which the template encoders must match.
+`full_matrix_z_homology` is the integer pipeline as it was before it
+ranked the Morse complex: every boundary matrix built whole and dense,
+each through smith_normal_form, which its own tests check against
+determinantal divisors.
 `tight_example_graph` is a fixture: a gadget family on which the trivial
 bound ceil(m / max_degree) is exact; `dimacs_text` writes a graph as DIMACS
 input.
@@ -38,6 +42,7 @@ import numpy as np
 
 from vrhq.complexes import SimplicialComplex
 from vrhq.errors import ParseError
+from vrhq.homology import boundary_matrix, smith_normal_form
 from vrhq.hypercube import Graph
 from vrhq.render import Rows
 
@@ -169,6 +174,20 @@ def determinantal_divisors(matrix) -> tuple[int, ...]:
             break
         out.append(g)
     return tuple(out)
+
+
+def full_matrix_z_homology(k: SimplicialComplex, up_to: int):
+    """(reduced Betti numbers, torsion) through degree up_to over the
+    integers, from the Smith normal forms of d_0..d_{up_to+1}, with d_0 the
+    augmentation map."""
+    f0 = len(k.simplices(0))
+    snfs = [smith_normal_form([[1] * f0] if f0 else [], cap=10 ** 9)]
+    snfs += [smith_normal_form(boundary_matrix(k, p).dense_rows(), cap=10 ** 9)
+             for p in range(1, up_to + 2)]
+    betti = tuple(len(k.simplices(i)) - len(snfs[i]) - len(snfs[i + 1])
+                  for i in range(up_to + 1))
+    torsion = tuple(tuple(d for d in s if d > 1) for s in snfs[1:])
+    return betti, torsion
 
 
 def brute_pattern_sets(n: int, r: int) -> list[tuple[int, ...]]:

@@ -386,9 +386,15 @@ class TestHomologyCommand:
         assert code == 3
 
     def test_snf_cap_exits_4(self, capsys):
-        code, env = run_json(capsys, "homology", "--n", "2", "--r", "1",
-                             "--up-to", "1", "--coefficients", "z", "--snf-cap", "1")
+        # the cap bounds the Morse matrices: VR(Q_3;1) has five critical
+        # edges, though its full d_1 is 8 x 12
+        argv = ["homology", "--n", "3", "--r", "1", "--up-to", "1", "--coefficients", "z"]
+        code, env = run_json(capsys, *argv, "--snf-cap", "4")
         assert code == 4
+        assert env["status"]["code"] == "too_large"
+        code, env = run_json(capsys, *argv, "--snf-cap", "5")
+        assert code == 0
+        assert env["result"]["reduced_betti"] == [0, 5]
 
     def test_csv_rows_per_dimension(self, capsys):
         code, out = run_cli(capsys, "homology", "--n", "3", "--r", "2",
@@ -796,3 +802,14 @@ class TestResourceContract:
         code, env, _ = run_limited("homology", "--n", "6", "--r", "3", "--up-to", "7")
         assert code == 0, env["status"]
         assert env["result"]["reduced_betti"] == [0, 0, 0, 0, 11, 0, 0, 60]
+
+    @pytest.mark.parametrize("up_to, betti", [(6, [0, 0, 0, 0, 11, 0, 0]),
+                                               (7, [0, 0, 0, 0, 11, 0, 0, 60])])
+    def test_z_homology_of_q6_r3(self, up_to, betti):
+        # the full d_2 and up exceed the default cap of 5000 rows or columns;
+        # the largest Morse matrix is 2499 x 2139
+        code, env, _ = run_limited("homology", "--n", "6", "--r", "3", "--up-to", str(up_to),
+                                   "--coefficients", "z")
+        assert code == 0, env["status"]
+        assert env["result"]["reduced_betti"] == betti
+        assert env["result"]["torsion"] == [[]] * (up_to + 1)

@@ -13,7 +13,7 @@ from vrhq.bitops import iter_bits
 from vrhq.errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
 from tests.oracles import (brute_reduced_betti, dense_boundary, dense_gf2_rank,
-                           determinantal_divisors)
+                           determinantal_divisors, full_matrix_z_homology)
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -104,6 +104,9 @@ def assert_gradient(k, top):
     its cofaces, the critical cells are the unpaired ones, the Hasse diagram
     with paired edges reversed has no cycle, and, per degree, rank d_p
     equals the pairs plus the rank of the Morse boundary, whose square is 0.
+    The walk over Z finds the same pairs, its Morse boundary reduces mod 2
+    to the GF(2) one, and with signs its square is 0 and its flow a chain
+    map.
     """
     by_dim = [k.simplices(d) for d in range(top + 1)]
     degrees = list(ho._gradient(k, top))
@@ -179,6 +182,34 @@ def assert_gradient(k, top):
             for i in iter_bits(flows[p + 1].get(x, 0)):
                 rhs ^= morse_of[i]
             assert lhs == rhs, (p, x)
+
+    # over Z: F(d x) = d^M F(x) with d x = sum_t (-1)^t d_t x, and d^M d^M = 0
+    zdegrees = list(ho._gradient(k, top, ho._Z))
+    for (lead, rows, cells, columns, _), (zlead, zrows, zcells, zcolumns, _) in zip(
+            degrees, zdegrees):
+        assert (zlead, zrows, zcells) == (lead, rows, cells)
+        assert [tuple(sorted(i for i, a in c.items() if a % 2)) for c in zcolumns] == columns
+    zflows = [flow for *_, flow in zdegrees] + [{c: {i: 1}
+                                                 for i, c in enumerate(zdegrees[top][2])}]
+    for p in range(1, top + 1):
+        _, rows, _, columns, below = zdegrees[p]
+        assert all(below[c] == {i: 1} for i, c in enumerate(rows))
+        for col in columns:
+            assert z_chain((a, zdegrees[p - 1][3][i]) for i, a in col.items()) == {}
+        for x in by_dim[p]:
+            lhs = z_chain(((-1) ** t, below.get(x[:t] + x[t + 1:], {})) for t in range(p + 1))
+            rhs = z_chain((a, columns[j]) for j, a in zflows[p + 1].get(x, {}).items())
+            assert lhs == rhs, (p, x)
+
+
+def z_chain(terms):
+    """The sum of a * chain over the (a, chain) terms, each chain a {row:
+    coefficient} dict, zeros dropped."""
+    out = {}
+    for a, chain in terms:
+        for i, b in chain.items():
+            out[i] = out.get(i, 0) + a * b
+    return {i: b for i, b in out.items() if b}
 
 
 def adamaszek_adams_beta3(n):
@@ -462,6 +493,9 @@ class TestSmithNormalForm:
     def test_divisibility_chain(self):
         assert ho.smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
         assert ho.smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
+        # unit columns on rows of their own, held as a count
+        assert ho.smith_normal_form([[2, 0], [0, 3]], units=2) == (1, 1, 1, 6)
+        assert ho.smith_normal_form([], units=3) == (1, 1, 1)
 
     def test_signs_normalized(self):
         assert ho.smith_normal_form([[-3]]) == (3,)
@@ -545,11 +579,31 @@ class TestReducedHomology:
             top = k.max_dim_requested - 1
             assert_uct(ho.reduced_homology(k, top, "z"), ho.betti_gf2(k, top))
 
+    def test_projective_plane_under_every_labelling(self):
+        # the signs of the flow and of the Morse boundary follow the vertex
+        # order, which each labelling changes
+        for perm in itertools.permutations(range(6)):
+            triangles = sorted(tuple(sorted(perm[v] for v in t)) for t in RP2_TRIANGLES)
+            edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
+            k = cx.SimplicialComplex(6, 2, [[(v,) for v in range(6)], edges, triangles])
+            prof = ho.reduced_homology(k, 1, "z")
+            assert (prof.reduced_betti, prof.torsion) == ((0, 0), ((), (2,))), perm
+
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_complexes())
+    def test_matches_full_matrix_oracle_on_shuffled_complexes(self, by_dim):
+        max_dim = len(by_dim) - 1
+        k = cx.SimplicialComplex(len(by_dim[0]), max_dim, by_dim)
+        prof = ho.reduced_homology(k, max_dim - 1, "z")
+        assert (prof.reduced_betti, prof.torsion) == full_matrix_z_homology(k, max_dim - 1)
+
     @pytest.mark.parametrize("n, r, up_to, betti", [
         (4, 2, 3, (0, 0, 0, 9)),
         (5, 2, 3, (0, 0, 0, 49)),
-        # 1792 x 1792 boundary matrices in degrees 4 and 5
         (4, 3, 5, (0, 0, 0, 0, 0, 0)),
+        # the full d_3..d_8 exceed 5000 rows or columns; the largest Morse
+        # matrix is 231 x 197
+        (5, 3, 7, (0, 0, 0, 0, 1, 0, 0, 10)),
     ])
     def test_z_matches_gf2_at_scale(self, n, r, up_to, betti):
         k = cx.vietoris_rips(n, r, up_to + 1)
@@ -558,34 +612,40 @@ class TestReducedHomology:
         assert zprof.torsion == ((),) * (up_to + 1)
         assert_uct(zprof, ho.betti_gf2(k, up_to))
 
-    def test_snf_cap_checked_before_any_matrix(self, monkeypatch):
-        # d_3 of VR(Q_5;3) is 2560 x 9280; d_0..d_2 fit the default cap
-        k = cx.vietoris_rips(5, 3, 5)
-        calls = []
+    def test_snf_cap_checked_before_any_matrix(self, monkeypatch, q5_r3):
+        # the Morse matrices of VR(Q_5;3) through degree 5 are empty up to
+        # d_4, 16 x 105 there and 113 x 630 in d_5: the first over the cap
+        # raises before its dense rows are built, so smith_normal_form ran
+        # once for each degree below it
+        shapes = []
+        snf = ho.smith_normal_form
 
-        def counted(name):
-            original = getattr(ho, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in ("smith_normal_form", "boundary_matrix"):
-            monkeypatch.setattr(ho, name, counted(name))
-        with pytest.raises(TooLarge):
-            ho.reduced_homology(k, 4, "z")
-        assert calls == []
+        def counted(matrix, *args, **kwargs):
+            shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
+            return snf(matrix, *args, **kwargs)
+        monkeypatch.setattr(ho, "smith_normal_form", counted)
+        for cap, calls in [(0, 4), (104, 4), (105, 5), (629, 5)]:
+            shapes.clear()
+            with pytest.raises(TooLarge):
+                ho.reduced_homology(q5_r3, 4, "z", snf_cap=cap)
+            assert len(shapes) == calls, cap
+            assert all(max(shape) <= cap for shape in shapes), cap
+        shapes.clear()
+        assert ho.reduced_homology(q5_r3, 4, "z", snf_cap=630).reduced_betti == (0, 0, 0, 0, 1)
+        assert shapes[4:] == [(16, 105), (113, 630)]
 
     def test_snf_cap_only_with_integer_coefficients(self):
-        k = cx.vietoris_rips(2, 1, 2)
+        # VR(Q_3;1) is the graph Q_3: five critical edges, the rows of the
+        # Morse d_2, which has no column; the full d_1 is 8 x 12
+        k = cx.vietoris_rips(3, 1, 2)
         with pytest.raises(ValueError, match="snf_cap"):
-            ho.reduced_homology(k, 1, "gf2", snf_cap=1)
-        assert ho.reduced_homology(k, 1, "gf2").reduced_betti == (0, 1)
+            ho.reduced_homology(k, 1, "gf2", snf_cap=5)
+        assert ho.reduced_homology(k, 1, "gf2").reduced_betti == (0, 5)
         # None means the default cap; an explicit one still applies
-        assert ho.reduced_homology(k, 1, "z", snf_cap=None).reduced_betti == (0, 1)
+        assert ho.reduced_homology(k, 1, "z", snf_cap=None).reduced_betti == (0, 5)
+        assert ho.reduced_homology(k, 1, "z", snf_cap=5).reduced_betti == (0, 5)
         with pytest.raises(TooLarge):
-            ho.reduced_homology(k, 1, "z", snf_cap=1)
+            ho.reduced_homology(k, 1, "z", snf_cap=4)
 
     def test_bad_coefficients(self):
         with pytest.raises(ValueError):
@@ -698,16 +758,22 @@ class TestCycleIsBoundary:
         assert peak <= 16 << 20
 
 
-def test_gf2_paths_build_no_boundary_matrix(monkeypatch, q5_r3):
-    def refuse(k, p):
-        raise AssertionError(f"d_{p} built on a GF(2) path")
+def test_no_homology_path_builds_a_boundary_matrix(monkeypatch, q5_r3):
+    def refuse(*args):
+        raise AssertionError("a boundary matrix was built")
     monkeypatch.setattr(ho, "boundary_matrix", refuse)
+    monkeypatch.setattr(ho.BoundaryMatrix, "dense_rows", refuse)
     assert ho.betti_gf2(q5_r3, 4).reduced_betti == (0, 0, 0, 0, 1)
     assert ho.reduced_homology(q5_r3, 4).reduced_betti == (0, 0, 0, 0, 1)
+    zprof = ho.reduced_homology(q5_r3, 4, "z")
+    assert (zprof.reduced_betti, zprof.torsion) == ((0, 0, 0, 0, 1), ((),) * 5)
+    assert ho.reduced_homology(projective_plane(), 2, "z").torsion == ((), (2,), ())
     assert ho.cycle_is_gf2_boundary(q5_r3, [(0,), (31,)], 0)
     assert ho.cycle_is_gf2_boundary(q5_r3, [(0, 1), (1, 3), (0, 2), (2, 3)], 1)
     chain = itertools.combinations(q5_r3.simplices(5)[0], 5)
     assert ho.cycle_is_gf2_boundary(q5_r3, chain, 4)
-    # the patch is in force: the integer path still builds d_p
-    with pytest.raises(AssertionError, match="d_1 built"):
-        ho.reduced_homology(q5_r3, 0, "z")
+    # the patches are in force
+    with pytest.raises(AssertionError, match="built"):
+        ho.boundary_matrix(q5_r3, 1)
+    with pytest.raises(AssertionError, match="built"):
+        ho.BoundaryMatrix(0, ()).dense_rows()

@@ -17,7 +17,7 @@ def test_all_exports_resolve():
     assert missing == []
     namespace = {}
     exec("from vrhq import *", namespace)
-    assert len(vrhq.__all__) == 34
+    assert len(vrhq.__all__) == 33
     assert {name for name in namespace if name != "__builtins__"} == set(vrhq.__all__)
     assert set(vrhq.__all__) <= set(dir(vrhq))
     with pytest.raises(AttributeError):
