@@ -5,6 +5,15 @@ to degree d only needs simplices up to d + 1, and flag complexes of
 hypercubes explode combinatorially well before their true dimension.
 Simplices are sorted vertex tuples kept in lexicographic order per
 dimension, which keeps boundary matrices reproducible.
+
+The clique build also records the discrete gradient that homology ranks
+(see `vrhq.homology`): a simplex sigma pairs with its last child in the
+ordered extension, sigma + (h,) for the greatest vertex h above sigma[-1]
+that extends it.  Each simplex's extension bitset says whether it pairs
+upward, and the build knows which child is last, so the critical cells
+and the pair counts of each degree fall out of the build.  At the top
+dimension the bitsets are computed too, though no coface is built: the
+record is the matching of the whole clique complex, truncated.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import namedtuple
+from operator import eq
 
 from .bitops import halfspace_patterns, xor_translate
 from .errors import (DimensionTooLarge, DuplicateVertex, OddCount, ParseError,
@@ -31,7 +41,7 @@ class SimplicialComplex:
     the last simplex cost nothing until f_vector() pads them with zeros.
     """
 
-    __slots__ = ("n_vertices", "max_dim_requested", "_by_dim")
+    __slots__ = ("n_vertices", "max_dim_requested", "_by_dim", "_morse")
 
     def __init__(self, n_vertices, max_dim_requested, by_dim):
         by_dim = [list(bucket) for bucket in by_dim]
@@ -42,6 +52,9 @@ class SimplicialComplex:
         self.n_vertices = n_vertices
         self.max_dim_requested = max_dim_requested
         self._by_dim = by_dim
+        # (pairs, critical) as recorded by the clique build, else None: see
+        # _clique_complex
+        self._morse = None
 
     def simplices(self, d: int) -> list[tuple[int, ...]]:
         if 0 <= d < len(self._by_dim):
@@ -73,8 +86,17 @@ class SimplicialComplex:
                 f"f_vector={self.f_vector()})")
 
 
-def _clique_complex(rows, m, max_dim, max_simplices):
-    """All cliques of the graph `rows` up to max_dim, by ordered extension."""
+def _clique_complex(rows, m, max_dim, max_simplices) -> SimplicialComplex:
+    """All cliques of the graph `rows` up to max_dim, by ordered extension,
+    with the gradient of the whole clique complex recorded.
+
+    A simplex pairs upward, with its last child, iff its extension bitset
+    is nonzero, and pairs downward iff it is the last child of its parent;
+    the empty simplex's children are the vertices.  The record is (pairs,
+    critical): pairs[d] counts the pairs of (d-1)- and d-simplices and
+    critical[d] lists the d-simplices in neither kind of pair, for each d
+    up to the last nonempty dimension.
+    """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     cap = DEFAULT_MAX_SIMPLICES if max_simplices is None else max_simplices
@@ -83,10 +105,15 @@ def _clique_complex(rows, m, max_dim, max_simplices):
         raise TooLarge(f"simplex count exceeds the cap of {cap}")
     by_dim = [[(v,) for v in range(m)]]
     # exts[i] is the bitset of vertices above the maximum of simplex i of
-    # the current dimension that are adjacent to all of its members
+    # the current dimension that are adjacent to all of its members, or
+    # None for a last child, which pairs with its parent and extends to
+    # nothing
     exts = [rows[v] >> (v + 1) << (v + 1) for v in range(m)]
+    if m:
+        exts[-1] = None  # the greatest vertex pairs with the empty simplex
+    pairs = [int(m > 0)]
+    critical = [list(itertools.compress(by_dim[0], map(eq, exts, itertools.repeat(0))))]
     for d in range(1, max_dim + 1):
-        last = d == max_dim
         simplices, nxt_exts = [], []
         for simplex, ext in zip(by_dim[-1], exts):
             e = ext
@@ -95,9 +122,8 @@ def _clique_complex(rows, m, max_dim, max_simplices):
                 w = low.bit_length() - 1
                 e ^= low
                 simplices.append(simplex + (w,))
-                if not last:
-                    # e now holds exactly the bits of ext above w
-                    nxt_exts.append(e & rows[w])
+                # e now holds exactly the bits of ext above w
+                nxt_exts.append(e & rows[w] if e else None)
             # checked per simplex extended, so an over-cap dimension is
             # never held whole
             if total + len(simplices) > cap:
@@ -106,8 +132,13 @@ def _clique_complex(rows, m, max_dim, max_simplices):
             break
         total += len(simplices)
         by_dim.append(simplices)
+        pairs.append(nxt_exts.count(None))
+        critical.append(list(itertools.compress(
+            simplices, map(eq, nxt_exts, itertools.repeat(0)))))
         exts = nxt_exts
-    return by_dim
+    k = SimplicialComplex(m, max_dim, by_dim)
+    k._morse = pairs, critical
+    return k
 
 
 def vietoris_rips(n: int, r: int, max_dim: int,
@@ -116,11 +147,11 @@ def vietoris_rips(n: int, r: int, max_dim: int,
 
     This is the clique complex of the distance-<=r graph, so the
     independence complex of its complement Gc_{n,r}; enumeration is by
-    ordered clique extension.  Raises TooLarge past the simplex cap.
+    ordered clique extension, which records the complex's gradient as it
+    goes (`_clique_complex`).  Raises TooLarge past the simplex cap.
     """
     g = build_hamming_graph(n, r, complemented=False)
-    by_dim = _clique_complex(g.rows(), g.m, max_dim, max_simplices)
-    return SimplicialComplex(g.m, max_dim, by_dim)
+    return _clique_complex(g.rows(), g.m, max_dim, max_simplices)
 
 
 class WitnessReport(namedtuple("WitnessReport", (

@@ -1,19 +1,23 @@
 """Simplicial reduced homology of truncated complexes.
 
 The default detector works over GF(2), and it ranks a small Morse complex,
-not the boundary matrices.  A lexicographic discrete gradient (Forman,
-*Adv. Math.* 1998) pairs a cell sigma with (h,) + sigma, where h is the
-least vertex that extends sigma to a simplex, whenever h < sigma[0]: these
-are Ripser's apparent pairs (Bauer, *J. Appl. Comput. Topol.* 2021), read
-off each dimension's cofaces by their tails in one dict pass.  Along a
-gradient path the first vertex falls strictly, so the matching is acyclic.
-The Morse boundary of a critical cell follows its gradient paths, summed
-in one pass over the paired cells in order of their first vertex, and
-rank d_p = pairs_p + rank of the Morse boundary in degree p: the pairs
-are counted, and only the Morse columns are built.  A cycle bounds iff its
-image under the flow bounds in the Morse complex, so the cycle test builds
-no boundary matrix either.  One Gaussian elimination serves both: each
-Morse column is packed into an integer bitset and reduced in turn.
+not the boundary matrices.  A discrete gradient (Forman, *Adv. Math.*
+1998) pairs a cell sigma with sigma + (h,), where h is the greatest vertex
+above sigma[-1] that extends sigma to a simplex, whenever there is one:
+the mirror image of Ripser's apparent pairs (Bauer, *J. Appl. Comput.
+Topol.* 2021).  Along a gradient path the last vertex rises strictly, so
+the matching is acyclic.  On a complex from `vietoris_rips` the clique
+build has recorded the matching of the whole flag complex, its critical
+cells and pair counts, top dimension included; on any other complex the
+pairs are read off each dimension's cofaces by their heads in one dict
+pass, and the top cells pair with nothing.  The Morse boundary of a
+critical cell follows its gradient paths, summed in one pass over the
+paired cells in decreasing order of their last vertex, and rank d_p =
+pairs_p + rank of the Morse boundary in degree p: the pairs are counted,
+and only the Morse columns are built.  A cycle bounds iff its image under
+the flow bounds in the Morse complex, so the cycle test builds no boundary
+matrix either.  One Gaussian elimination serves both: each Morse column is
+packed into an integer bitset and reduced in turn.
 
 The integer pipeline ranks the same Morse complex: one gradient walk
 serves both rings, each passing in its chain arithmetic.  Over the
@@ -150,20 +154,19 @@ def gf2_rank(columns) -> int:
 
 
 def _leads(cells) -> dict:
-    """tau[1:] -> the least tau[0], over the d-cells tau in any order.
+    """tau[:-1] -> the greatest tau[-1], over the d-cells tau in any order.
 
-    Its keys are the (d-1)-cells sigma that some vertex h < sigma[0]
-    extends to a d-cell (h,) + sigma, and the value is the least such h:
-    the least vertex that extends sigma at all, since any vertex above
-    sigma[0] sorts after it.  On the vertices it is {(): least vertex}.
+    Its keys are the (d-1)-cells sigma that some vertex h > sigma[-1]
+    extends to a d-cell sigma + (h,), and the value is the greatest such
+    h.  On the vertices it is {(): greatest vertex}.
     """
     lead = {}
     get = lead.get
     for tau in cells:
-        tail = tau[1:]
-        h = get(tail)
-        if h is None or tau[0] < h:
-            lead[tail] = tau[0]
+        head = tau[:-1]
+        h = get(head)
+        if h is None or tau[-1] > h:
+            lead[head] = tau[-1]
     return lead
 
 
@@ -199,66 +202,97 @@ def _flow(lead, rows, p, unit, facet_sum) -> dict:
     chains on the critical cells rows, F(rows[i]) = unit(i).
 
     F(c) = c on a critical cell and 0 on a cell paired with a facet.  A
-    cell sigma paired with tau = (h,) + sigma, the facet d_0 tau, maps to
-    -sum_{t>=1} (-1)^t F(d_t tau), so that F(d tau) = 0.  Each d_t tau with
-    t >= 1 starts with h < sigma[0], so the cells are taken in order of
-    their first vertex and every value read is final.  By the same
-    descent, F(sigma) = 0 unless some critical cell starts below
-    sigma[0], so the cells that start no higher than every critical one
-    are skipped.
+    cell sigma paired with tau = sigma + (h,), the facet d_p tau, maps to
+    (-1)^(p+1) sum_{t<p} (-1)^t F(d_t tau), so that F(d tau) = 0.  Each
+    d_t tau with t < p ends with h > sigma[-1], so the cells are taken in
+    decreasing order of their last vertex and every value read is final.
+    By the same ascent, F(sigma) = 0 unless some critical cell ends above
+    sigma[-1], so the cells that end no lower than every critical one are
+    skipped.
     """
     flow = {c: unit(i) for i, c in enumerate(rows)}
     get = flow.get
-    least = min(c[0] for c in rows)
-    for sigma in sorted([s for s in lead if s[0] > least], key=itemgetter(0)):
-        # d_0 tau is sigma itself, not yet in flow
-        v = facet_sum(get, (lead[sigma],) + sigma, p, -1)
+    greatest = max(c[-1] for c in rows)
+    sign = (-1) ** (p + 1)
+    for sigma in sorted([s for s in lead if s[-1] < greatest], key=itemgetter(-1),
+                        reverse=True):
+        # d_p tau is sigma itself, not yet in flow
+        v = facet_sum(get, sigma + (lead[sigma],), p, sign)
         if v:
             flow[sigma] = v
     return flow
 
 
-def _gradient(k, top, ring=_GF2):
-    """The lexicographic gradient on the top-skeleton, one degree at a time,
-    its flow and Morse boundary in the ring's chains (_GF2 or _Z).
+def _matching(k, top):
+    """The gradient's pairs on the top-skeleton, one degree at a time.
 
-    Yields, for p = 0..top, (lead, rows, cells, columns, flow):
-    - lead, the pairs of degree p: sigma -> h for each (p-1)-cell sigma
-      paired with the p-cell (h,) + sigma; in degree 0 the empty simplex
-      () pairs with the least vertex;
-    - rows and cells, the critical (p-1)- and p-cells, in the complex's
-      order;
-    - columns, the Morse boundary: for each critical p-cell c, the sum
-      of (-1)^t F(d_t c) over its facets, as a column on rows (a tuple
-      of rows over GF(2), a {row: coefficient} dict over Z);
-    - flow, F on the (p-1)-cells (`_flow`), built once in each degree
-      p >= 1 with critical rows, else {}; `cycle_is_gf2_boundary` reads
-      the top degree's, even where no critical cell does.
+    Yields, for p = 0..top, (pairs, lead, critical): the number of pairs
+    of (p-1)- and p-cells; the pairs as a dict sigma -> h for sigma paired
+    with sigma + (h,), or None where the complex does not hold it; and the
+    critical p-cells, in the complex's order.  In degree 0 the empty
+    simplex () pairs with the greatest vertex.
 
-    A cell is paired with a coface when it is a key of the next degree's
-    lead, and with a facet tau[1:] when that maps to tau[0]; a cell is in
-    at most one pair.  Cells of dimension top have no cofaces here, as the
-    truncated complex has none of theirs built.  Degree 0 needs no flow:
-    its one possible row, the empty simplex, is critical only when there
-    is no vertex.  With an empty flow every Morse column is zero.
+    A complex from `vietoris_rips` hands over what its build recorded: the
+    matching of the whole flag complex, so a top cell that some vertex
+    extends pairs with a coface that was never built.  Any other complex
+    is read here: a cell is paired with a coface when it is a key of the
+    next degree's `_leads`, and with a facet tau[:-1] when that maps to
+    tau[-1]; a cell is in at most one pair.  Cells of dimension top pair
+    with no coface, as none of theirs is read.
     """
-    unit, facet_sum, column, zero = ring
+    if k._morse is not None:
+        pairs, critical = k._morse
+        for p in range(top + 1):
+            if p < len(pairs):
+                yield pairs[p], None, critical[p]
+            else:
+                yield 0, None, []
+        return
     lead = _leads(k.simplices(0))
-    rows = [] if lead else [()]  # with no vertex, the empty simplex is critical
     for p in range(top + 1):
         cells = k.simplices(p)
         up = _leads(k.simplices(p + 1)) if p < top else {}
         critical = []
         if len(cells) > len(up) + len(lead):
             down = lead.get
-            critical = [s for s in cells if s not in up and down(s[1:]) != s[0]]
-        flow = _flow(lead, rows, p, unit, facet_sum) if p and rows else {}
-        if flow:
+            critical = [s for s in cells if s not in up and down(s[:-1]) != s[-1]]
+        yield len(lead), lead, critical
+        lead = up
+
+
+def _gradient(k, top, ring=_GF2):
+    """The gradient on the top-skeleton (`_matching`), one degree at a
+    time, with its flow and Morse boundary in the ring's chains (_GF2 or
+    _Z).
+
+    Yields, for p = 0..top, (pairs, rows, cells, columns, flow):
+    - pairs, the number of pairs of degree p;
+    - rows and cells, the critical (p-1)- and p-cells, in the complex's
+      order; in degree 0 the empty simplex is the one possible row,
+      critical only when there is no vertex;
+    - columns, the Morse boundary: for each critical p-cell c, the sum
+      of (-1)^t F(d_t c) over its facets, as a column on rows (a tuple
+      of rows over GF(2), a {row: coefficient} dict over Z);
+    - flow, F on the (p-1)-cells (`_flow`), built once in each degree
+      with critical rows and columns, else {}.  There the pairs of degree
+      p are read with `_leads` where `_matching` does not hold them, one
+      degree's dict at a time.
+
+    Without rows or without columns the Morse boundary is empty, and
+    every column is zero.
+    """
+    unit, facet_sum, column, zero = ring
+    rows = [] if k.simplices(0) else [()]
+    for p, (pairs, lead, critical) in enumerate(_matching(k, top)):
+        flow = {}
+        if p and rows and critical:
+            flow = _flow(_leads(k.simplices(p)) if lead is None else lead,
+                         rows, p, unit, facet_sum)
             columns = [column(facet_sum(flow.get, c, p)) for c in critical]
         else:
             columns = [zero] * len(critical)
-        yield lead, rows, critical, columns, flow
-        lead, rows = up, critical
+        yield pairs, rows, critical, columns, flow
+        rows = critical
 
 
 class BettiProfile(namedtuple("BettiProfile",
@@ -304,25 +338,29 @@ def _reduced_betti(k, ranks) -> tuple[int, ...]:
 def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     """Reduced GF(2) Betti numbers beta~_0..beta~_up_to.
 
-    The ranks of d_0..d_{up_to+1} come from the lexicographic gradient on
-    the (up_to+1)-skeleton (`_gradient`), not from the boundary matrices.
+    The ranks of d_0..d_{up_to+1} come from the discrete gradient on the
+    (up_to+1)-skeleton (`_gradient`), not from the boundary matrices.
 
-    The matching.  Let h be the least vertex for which (h,) + sigma is a
-    simplex.  sigma pairs with (h,) + sigma when h < sigma[0]; the empty
-    simplex pairs with the least vertex, which is the augmentation d_0.
-    sigma is the lexicographically largest facet of its partner, and the
-    partner is sigma's lexicographically least coface, so a cell lies in
-    at most one pair: tau pairs with its facet tau[1:] only when tau[0] is
-    the least vertex that extends tau[1:], and then no h < tau[0] extends
-    tau, or h would extend tau[1:] too.
+    The matching.  Let h be the greatest vertex above sigma[-1] for which
+    sigma + (h,) is a simplex.  sigma pairs with sigma + (h,) when there
+    is such an h; the empty simplex pairs with the greatest vertex, which
+    is the augmentation d_0.  sigma is the lexicographically least facet
+    of its partner, and the partner is sigma's lexicographically greatest
+    coface that ends above it, so a cell lies in at most one pair: tau
+    pairs with its facet tau[:-1] only when tau[-1] is the greatest vertex
+    that extends tau[:-1], and then no vertex above tau[-1] extends tau,
+    or it would extend tau[:-1] too.  On a flag complex from
+    `vietoris_rips` a top cell pairs even when its partner was not built:
+    the matching is that of the whole complex, and d_p of the truncation
+    is d_p of the whole for every p it holds.
 
     Acyclicity.  A step of a gradient path goes from a cell sigma up to its
-    partner (h,) + sigma and down to another facet of it, which starts
-    with h < sigma[0].  The first vertex falls strictly along every path,
-    so no path closes into a cycle, and by Forman's theorem the critical
-    cells with the Morse boundary form a chain complex with the same
-    homology.  Over GF(2), with F the flow of `_flow`, the Morse boundary
-    of a critical p-cell is the sum of F over its facets.
+    partner sigma + (h,) and down to another facet of it, which ends with
+    h > sigma[-1].  The last vertex rises strictly along every path, so no
+    path closes into a cycle, and by Forman's theorem the critical cells
+    with the Morse boundary form a chain complex with the same homology.
+    Over GF(2), with F the flow of `_flow`, the Morse boundary of a
+    critical p-cell is the sum of F over its facets.
 
     The rank.  After a change of basis along the gradient, d_p is the
     identity on the pairs of degree p beside the Morse boundary on the
@@ -335,9 +373,9 @@ def betti_gf2(k: SimplicialComplex, up_to: int) -> BettiProfile:
     """
     _check_truncation(k, up_to)
     ranks = []
-    for lead, rows, _, columns, _ in _gradient(k, up_to + 1):
+    for pairs, rows, _, columns, _ in _gradient(k, up_to + 1):
         ranks.append(gf2_rank(BoundaryMatrix(len(rows), tuple(columns))
-                              .gf2_columns(len(lead))))
+                              .gf2_columns(pairs)))
     return BettiProfile(_reduced_betti(k, ranks), "gf2", up_to)
 
 
@@ -462,7 +500,7 @@ def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2"
                      snf_cap: int | None = None) -> BettiProfile:
     """Reduced homology beta~_0..beta~_up_to over GF(2) or the integers.
 
-    Both rank the Morse complex of the lexicographic gradient on the
+    Both rank the Morse complex of the discrete gradient on the
     (up_to+1)-skeleton (`_gradient`).  Over the integers the flow and the
     Morse boundary carry signs, and F is again a chain map and a homotopy
     equivalence onto the Morse complex (Forman).  After a change of basis
@@ -485,11 +523,11 @@ def reduced_homology(k: SimplicialComplex, up_to: int, coefficients: str = "gf2"
     cap = DEFAULT_SNF_CAP if snf_cap is None else snf_cap
     _check_truncation(k, up_to)
     snfs = []
-    for lead, rows, _, columns, _ in _gradient(k, up_to + 1, _Z):
+    for pairs, rows, _, columns, _ in _gradient(k, up_to + 1, _Z):
         cols = list(filter(None, columns))
         _check_snf_cap(len(rows), len(cols), cap)
         dense = [list(map(dict.get, cols, repeat(i), repeat(0))) for i in range(len(rows))]
-        snfs.append(smith_normal_form(dense, cap, units=len(lead)))
+        snfs.append(smith_normal_form(dense, cap, units=pairs))
     betti = _reduced_betti(k, [len(s) for s in snfs])
     torsion = tuple(tuple(d for d in snfs[i + 1] if d > 1) for i in range(up_to + 1))
     return BettiProfile(betti, "z", up_to, torsion=torsion)
@@ -505,7 +543,11 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
     (p+1)-skeleton (`_gradient`) is a chain map onto the Morse complex and
     a homotopy equivalence (Forman), so the chain bounds iff its image,
     the XOR of F over its odd simplices, reduces to 0 against the pivots
-    of the Morse boundary in degree p + 1.  No boundary matrix is built.
+    of the Morse boundary in degree p + 1.  On a flag complex from
+    `vietoris_rips` that is the gradient of the whole complex, whose
+    d_{p+1} is the truncation's.  Where the walk built no flow in degree
+    p + 1, as it does only for Morse columns, F is built here.  No
+    boundary matrix is built.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -525,5 +567,7 @@ def cycle_is_gf2_boundary(k: SimplicialComplex, chain, p: int) -> bool:
     if facets:
         raise ValueError("the chain is not a cycle")
     _, rows, _, columns, flow = deque(_gradient(k, p + 1), maxlen=1)[0]
+    if rows and not flow:
+        flow = _flow(_leads(k.simplices(p + 1)), rows, p + 1, *_GF2[:2])
     image = reduce(xor, filter(None, map(flow.get, odd)), 0)
     return not _gf2_reduce(image, _gf2_pivots(Gf2Columns(len(rows), columns)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrhq import complexes as cx, homology as ho
+from vrhq import complexes as cx, homology as ho, hypercube as hc
 from vrhq.bitops import iter_bits
 from vrhq.errors import DimensionOutOfRange, TooLarge, TruncationTooShallow
 
@@ -98,32 +98,66 @@ def cycles_in_shuffled_complexes(draw):
     return cx.SimplicialComplex(block.stop, len(by_dim) - 1, by_dim), chain, p
 
 
-def assert_gradient(k, top):
-    """Check the lexicographic gradient on the top-skeleton of k without its
-    lemma: each cell lies in at most one pair, a pair is a cell and one of
-    its cofaces, the critical cells are the unpaired ones, the Hasse diagram
-    with paired edges reversed has no cycle, and, per degree, rank d_p
-    equals the pairs plus the rank of the Morse boundary, whose square is 0.
-    The walk over Z finds the same pairs, its Morse boundary reduces mod 2
-    to the GF(2) one, and with signs its square is 0 and its flow a chain
-    map.
+@st.composite
+def random_graphs(draw):
+    """(rows, max_dim): a graph on at most 10 vertices as adjacency
+    bitsets, each edge present with a drawn probability, and a truncation
+    dimension from 1 to 5."""
+    m = draw(st.integers(0, 10))
+    density = draw(st.sampled_from([0.3, 0.6, 0.85]))
+    rows = [0] * m
+    for u, v in itertools.combinations(range(m), 2):
+        if draw(st.floats(0, 1)) < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows, draw(st.integers(1, 5))
+
+
+def assert_gradient(k, top, adjacency=None):
+    """Check the gradient on the top-skeleton of k without its lemma: each
+    cell lies in at most one pair, a pair is a cell sigma and its coface
+    sigma + (h,) for the greatest h that extends it, the critical cells
+    are the unpaired ones, the Hasse diagram with paired edges reversed
+    has no cycle, and, per degree, rank d_p equals the pairs plus the rank
+    of the Morse boundary, whose square is 0.  The walk over Z finds the
+    same pairs, its Morse boundary reduces mod 2 to the GF(2) one, and
+    with signs its square is 0 and its flow a chain map.
+
+    Given the adjacency bitsets of the graph whose clique complex k is, a
+    top cell that some vertex h above its last extends pairs with a
+    coface beyond the skeleton: h must be adjacent to every vertex of the
+    cell.  Without them, no top cell pairs upward.
     """
     by_dim = [k.simplices(d) for d in range(top + 1)]
     degrees = list(ho._gradient(k, top))
     assert len(degrees) == top + 1
+    verts = [v for v, in by_dim[0]]
     partner = {}
-    for p, (lead, *_) in enumerate(degrees):
+    for p, (pairs, *_) in enumerate(degrees):
         faces = set(by_dim[p - 1]) if p else {()}
         cofaces = set(by_dim[p])
+        lead = ho._leads(by_dim[p])
+        assert pairs == len(lead)
         for sigma, h in lead.items():
-            tau = (h,) + sigma
+            tau = sigma + (h,)
             assert sigma in faces and tau in cofaces
+            assert not any(sigma + (w,) in cofaces for w in verts if w > h)
             assert sigma not in partner and tau not in partner
             partner[sigma] = tau
             partner[tau] = sigma
+    beyond = set()  # top cells paired with cofaces not in the skeleton
+    if adjacency is not None:
+        for sigma in by_dim[top]:
+            above = [h for h in range(sigma[-1] + 1, k.n_vertices)
+                     if all(adjacency[v] >> h & 1 for v in sigma)]
+            if above:
+                assert sigma not in partner
+                if top < k.max_dim_requested:
+                    assert sigma + (max(above),) in k.simplices(top + 1)
+                beyond.add(sigma)
     assert degrees[0][1] == ([] if () in partner else [()])
     for p, (_, rows, cells, *_) in enumerate(degrees):
-        assert cells == [s for s in by_dim[p] if s not in partner]
+        assert cells == [s for s in by_dim[p] if s not in partner and s not in beyond]
         if p:
             assert rows == degrees[p - 1][2]
 
@@ -158,23 +192,28 @@ def assert_gradient(k, top):
                 stack.pop()
 
     morse = []
-    for p, (lead, rows, cells, columns, _) in enumerate(degrees):
+    for p, (pairs, rows, cells, columns, _) in enumerate(degrees):
         m = np.zeros((len(rows), len(cells)), dtype=np.uint8)
         for j, col in enumerate(columns):
             m[list(col), j] = 1
         morse.append(m)
-        assert dense_gf2_rank(dense_boundary(by_dim, p)) == len(lead) + dense_gf2_rank(m)
+        assert dense_gf2_rank(dense_boundary(by_dim, p)) == pairs + dense_gf2_rank(m)
         if p:
             assert not (morse[p - 1].astype(int) @ m % 2).any()
 
     # the flow is a chain map onto the Morse complex: F(d x) = d^M F(x) on
     # every cell x, with F on the top cells the identity on critical ones
-    flows = [flow for *_, flow in degrees] + [{c: 1 << i for i, c in enumerate(degrees[top][2])}]
+    # and unknown on those paired beyond the skeleton
+    flows = walk_flows(by_dim, degrees, ho._GF2)
+    flows.append({c: 1 << i for i, c in enumerate(degrees[top][2])})
     for p in range(1, top + 1):
-        _, rows, _, columns, below = degrees[p]
+        _, rows, _, columns, _ = degrees[p]
+        below = flows[p]
         assert all(below[c] == 1 << i for i, c in enumerate(rows))
         morse_of = [sum(1 << i for i in col) for col in columns]
         for x in by_dim[p]:
+            if x in beyond:
+                continue
             lhs = 0
             for f in itertools.combinations(x, p):
                 lhs ^= below.get(f, 0)
@@ -185,21 +224,35 @@ def assert_gradient(k, top):
 
     # over Z: F(d x) = d^M F(x) with d x = sum_t (-1)^t d_t x, and d^M d^M = 0
     zdegrees = list(ho._gradient(k, top, ho._Z))
-    for (lead, rows, cells, columns, _), (zlead, zrows, zcells, zcolumns, _) in zip(
+    for (pairs, rows, cells, columns, _), (zpairs, zrows, zcells, zcolumns, _) in zip(
             degrees, zdegrees):
-        assert (zlead, zrows, zcells) == (lead, rows, cells)
+        assert (zpairs, zrows, zcells) == (pairs, rows, cells)
         assert [tuple(sorted(i for i, a in c.items() if a % 2)) for c in zcolumns] == columns
-    zflows = [flow for *_, flow in zdegrees] + [{c: {i: 1}
-                                                 for i, c in enumerate(zdegrees[top][2])}]
+    zflows = walk_flows(by_dim, zdegrees, ho._Z)
+    zflows.append({c: {i: 1} for i, c in enumerate(zdegrees[top][2])})
     for p in range(1, top + 1):
-        _, rows, _, columns, below = zdegrees[p]
+        _, rows, _, columns, _ = zdegrees[p]
+        below = zflows[p]
         assert all(below[c] == {i: 1} for i, c in enumerate(rows))
         for col in columns:
             assert z_chain((a, zdegrees[p - 1][3][i]) for i, a in col.items()) == {}
         for x in by_dim[p]:
+            if x in beyond:
+                continue
             lhs = z_chain(((-1) ** t, below.get(x[:t] + x[t + 1:], {})) for t in range(p + 1))
             rhs = z_chain((a, columns[j]) for j, a in zflows[p + 1].get(x, {}).items())
             assert lhs == rhs, (p, x)
+
+
+def walk_flows(by_dim, degrees, ring):
+    """The flow of each degree of a walk, built with `_flow` where the walk
+    built none: it does only for Morse columns."""
+    flows = []
+    for p, (_, rows, _, _, flow) in enumerate(degrees):
+        if p and rows and not flow:
+            flow = ho._flow(ho._leads(by_dim[p]), rows, p, *ring[:2])
+        flows.append(flow)
+    return flows
 
 
 def z_chain(terms):
@@ -334,6 +387,33 @@ class TestBettiGf2:
         assert_gradient(k, max_dim)
         assert_gradient(k, max_dim - 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs())
+    def test_clique_build_records_the_gradient(self, graph):
+        # below the top, the build's record is what _leads derives from
+        # the complex; at every depth, both rings match the full matrices
+        rows, max_dim = graph
+        k = cx._clique_complex(rows, len(rows), max_dim, None)
+        plain = cx.SimplicialComplex(k.n_vertices, max_dim,
+                                     [k.simplices(d) for d in range(max_dim + 1)])
+        recorded = list(ho._matching(k, max_dim))
+        derived = list(ho._matching(plain, max_dim))
+        assert [(n, c) for n, _, c in recorded[:-1]] == [(n, c) for n, _, c in derived[:-1]]
+        assert recorded[-1][0] == derived[-1][0]
+        assert set(recorded[-1][2]) <= set(derived[-1][2])
+        assert_gradient(k, max_dim, rows)
+        assert_gradient(k, max_dim - 1, rows)
+        by_dim = [k.simplices(d) for d in range(max_dim + 1)]
+        ranks = [dense_gf2_rank(dense_boundary(by_dim, p)) for p in range(max_dim + 1)]
+        betti, torsion = full_matrix_z_homology(k, max_dim - 1)
+        for up_to in range(max_dim):
+            prof = ho.betti_gf2(k, up_to)
+            assert prof.reduced_betti == tuple(
+                len(by_dim[i]) - ranks[i] - ranks[i + 1] for i in range(up_to + 1))
+            zprof = ho.reduced_homology(k, up_to, "z")
+            assert (zprof.reduced_betti, zprof.torsion) == (
+                betti[:up_to + 1], torsion[:up_to + 1])
+
     def test_peak_memory_of_q8_r2(self):
         # the largest matrix, d_4, is 94 MiB packed whole; the gradient
         # builds no boundary matrix and packs no column here
@@ -410,18 +490,37 @@ class TestGradient:
     def test_checks_hold_on_q4_r3(self):
         # the boundary of the 8-dimensional cross-polytope, a 7-sphere
         k = cx.vietoris_rips(4, 3, 7)
-        assert_gradient(k, 7)
+        assert_gradient(k, 7, hc.build_hamming_graph(4, 3, complemented=False).rows())
         assert [len(cells) for _, _, cells, *_ in ho._gradient(k, 7)] == [0] * 7 + [1]
 
+    def test_checks_hold_beyond_the_skeleton(self):
+        # top cells of VR(Q_4;2) through degree 2 pair with 3-cells that
+        # were not built; built to 3, the same cofaces are there
+        rows = hc.build_hamming_graph(4, 2, complemented=False).rows()
+        assert_gradient(cx.vietoris_rips(4, 2, 2), 2, rows)
+        assert_gradient(cx.vietoris_rips(4, 2, 3), 2, rows)
+
     @pytest.mark.parametrize("n, r, top, critical, cells", [
-        (5, 3, 8, (0, 0, 0, 16, 113, 231, 197, 72, 80), 84216),
-        (8, 2, 4, (0, 0, 0, 2561, 14336), 96256),
-        (6, 3, 3, (0, 0, 0, 44529), 68336),
+        (5, 3, 8, (0, 0, 0, 16, 113, 231, 197, 72, 0), 84216),
+        (8, 2, 4, (0, 0, 0, 2561, 0), 96256),
+        (6, 3, 3, (0, 0, 0, 169), 68336),
     ])
     def test_critical_cell_counts(self, n, r, top, critical, cells):
+        # the build's matching is the whole complex's, top cells included
         k = cx.vietoris_rips(n, r, top)
         assert sum(k.f_vector()) == cells
         assert tuple(len(c) for _, _, c, *_ in ho._gradient(k, top)) == critical
+
+    @pytest.mark.parametrize("n, r, top, critical", [
+        (5, 3, 8, (0, 0, 0, 16, 113, 231, 197, 72, 80)),
+        (8, 2, 4, (0, 0, 0, 2561, 14336)),
+        (6, 3, 3, (0, 0, 0, 44529)),
+    ])
+    def test_file_copy_pairs_no_top_cell_upward(self, n, r, top, critical):
+        # read back from a file, the same complex has the same critical
+        # cells below the top, and every top cell not paired down is critical
+        copy = cx.parse_complex(cx.format_complex(cx.vietoris_rips(n, r, top)))
+        assert tuple(len(c) for _, _, c, *_ in ho._gradient(copy, top)) == critical
 
 
 @pytest.fixture(scope="module")
@@ -614,7 +713,8 @@ class TestReducedHomology:
 
     def test_snf_cap_checked_before_any_matrix(self, monkeypatch, q5_r3):
         # the Morse matrices of VR(Q_5;3) through degree 5 are empty up to
-        # d_4, 16 x 105 there and 113 x 630 in d_5: the first over the cap
+        # d_4, 16 x 105 there and 113 x 231 in d_5, whose columns are the
+        # critical 5-cells of the whole complex: the first over the cap
         # raises before its dense rows are built, so smith_normal_form ran
         # once for each degree below it
         shapes = []
@@ -624,15 +724,15 @@ class TestReducedHomology:
             shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
             return snf(matrix, *args, **kwargs)
         monkeypatch.setattr(ho, "smith_normal_form", counted)
-        for cap, calls in [(0, 4), (104, 4), (105, 5), (629, 5)]:
+        for cap, calls in [(0, 4), (104, 4), (105, 5), (230, 5)]:
             shapes.clear()
             with pytest.raises(TooLarge):
                 ho.reduced_homology(q5_r3, 4, "z", snf_cap=cap)
             assert len(shapes) == calls, cap
             assert all(max(shape) <= cap for shape in shapes), cap
         shapes.clear()
-        assert ho.reduced_homology(q5_r3, 4, "z", snf_cap=630).reduced_betti == (0, 0, 0, 0, 1)
-        assert shapes[4:] == [(16, 105), (113, 630)]
+        assert ho.reduced_homology(q5_r3, 4, "z", snf_cap=231).reduced_betti == (0, 0, 0, 0, 1)
+        assert shapes[4:] == [(16, 105), (113, 231)]
 
     def test_snf_cap_only_with_integer_coefficients(self):
         # VR(Q_3;1) is the graph Q_3: five critical edges, the rows of the
@@ -742,6 +842,27 @@ class TestCycleIsBoundary:
         chain = list(itertools.combinations(top, 5))
         assert ho.cycle_is_gf2_boundary(q5_r3, chain, 4)
         assert reference_bounds(reference, q5_r3, chain, 4)
+
+    def test_sum_of_witness_and_simplex_boundary(self, reference, q5_r3):
+        # the top degree's Morse columns are the whole complex's critical
+        # 5-cells; a boundary added to the witness cycle leaves its class
+        verts = [w for i in range(5) for w in (1 << i, 31 ^ 1 << i)]
+        chain = cx.fundamental_cycle(cx.cross_polytope_witness_check(5, 3, verts)
+                                     .recovered_pairs)
+        chain += itertools.combinations(q5_r3.simplices(5)[-1], 5)
+        assert not ho.cycle_is_gf2_boundary(q5_r3, chain, 4)
+        assert not reference_bounds(reference, q5_r3, chain, 4)
+
+    def test_flow_built_where_the_walk_builds_none(self, reference):
+        # VR(Q_5;2) through degree 4 has 49 critical 3-cells and no
+        # critical 4-cell, so the walk needs no flow in degree 4 and the
+        # cycle test builds it; the 3-sphere of VR(Q_3;2) sits inside
+        k = cx.vietoris_rips(5, 2, 4)
+        sphere = cx.fundamental_cycle([(v, v ^ 7) for v in (0, 1, 2, 4)])
+        filled = list(itertools.combinations(k.simplices(4)[0], 4))
+        for chain, bounds in [(sphere, False), (filled, True), (sphere + filled, False)]:
+            assert ho.cycle_is_gf2_boundary(k, chain, 3) == bounds
+            assert reference_bounds(reference, k, chain, 3) == bounds
 
     def test_peak_memory_of_q6_r3(self):
         # d_3 and d_4 built whole would peak at 29 MiB; the gradient's flow

@@ -58,15 +58,24 @@ def test_composed_betti_matches_printed(tracing, coefficients):
 @pytest.mark.parametrize("source, up_to, betti", [
     (["--complex", "rp2.cx"], 2, [0, 1, 1]),
     (["--n", "5", "--r", "3"], 7, [0, 0, 0, 0, 1, 0, 0, 10]),
+    # the top degree of a flag complex takes the build's record, whose
+    # top cells may pair with cofaces that were never built
+    (["--n", "8", "--r", "2"], 3, [0, 0, 0, 2561]),
+    (["--n", "5", "--r", "3", "--coefficients", "z"], 7, [0, 0, 0, 0, 1, 0, 0, 10]),
 ])
 def test_gf2_ranks_compose_to_the_printed_betti(tracing, tmp_path, source, up_to, betti):
-    # each degree hands gf2_rank one matrix of rank d_p, the top included
+    # each degree hands gf2_rank, or smith_normal_form over Z, one matrix
+    # of rank d_p, the top included
     cx.write_complex_file(projective_plane(), tmp_path / "rp2.cx")
     source = [str(tmp_path / a) if a.endswith(".cx") else a for a in source]
     tracer, result = traced(tracing, ["homology", *source, "--up-to", str(up_to)])
     assert tracing.composed_betti(tracer.spans, 0, up_to) == result["reduced_betti"] == betti
-    packed = [s for s in tracer.spans if s["name"] == "homology.gf2_columns"]
-    assert len(packed) == up_to + 2
+    ranked = [s for s in tracer.spans
+              if s["name"] in ("homology.gf2_rank", "homology.smith_normal_form")]
+    assert len(ranked) == up_to + 2
+    if "z" not in source:
+        packed = [s for s in tracer.spans if s["name"] == "homology.gf2_columns"]
+        assert len(packed) == up_to + 2
 
 
 def test_torsion_complex_composes_through_the_z_path(tracing, tmp_path):
