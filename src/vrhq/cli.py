@@ -14,6 +14,7 @@ imports the layers it calls, so a run loads only its subcommand's code.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import time
@@ -181,8 +182,11 @@ def _cmd_table(args):
     else:
         if args.n_max is None:
             raise ValueError("--n-max is required without --paper")
-        rows = [(n, r, c, None, None)
-                for n, r, c in bounds.grid_table(args.n_max, args.r_max)]
+        # padded in place, so the 3-tuples and the 5-tuples are never all
+        # held at once
+        rows = bounds.grid_table(args.n_max, args.r_max)
+        for i, row in enumerate(rows):
+            rows[i] = row + (None, None)
     return {"paper": args.paper,
             "rows": Rows(("n", "r", "connectivity", "printed", "agrees"), rows)}
 
@@ -367,4 +371,15 @@ def _snake(exc) -> str:
 
 
 def entry():
-    raise SystemExit(main())
+    """Run main() and exit with its code: the `vrhq` script and `python -m
+    vrhq` both come here.  Interpreter shutdown would run a full garbage
+    collection over every tracked object, nearly all of them loaded by
+    `site` and the imports; gc.freeze() takes them out of its reach, while
+    output is still flushed and atexit handlers and module teardown still
+    run.  main() does not freeze: a process calling it would keep its
+    objects frozen for good."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(code)

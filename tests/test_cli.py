@@ -1,5 +1,6 @@
 import argparse
 import datetime
+import gc
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -155,6 +157,22 @@ class TestTable:
         assert env["result"]["rows"] == [
             {"n": n, "r": r, "connectivity": c, "printed": None, "agrees": None}
             for n, r, c in self.per_pair(12)]
+
+    def test_grid_rows_are_padded_in_place(self):
+        # the grid's 3-tuples and the padded 5-tuples are never all held at
+        # once: holding both lists took twice grid_table's own peak
+        args = cli.build_parser().parse_args(["table", "--n-max", "200"])
+        tracemalloc.start()
+        try:
+            bounds.grid_table(200)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rows = cli._cmd_table(args)["rows"]
+            table_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows.tuples) == 20100
+        assert table_peak < 1.5 * grid_peak
 
     def test_paper_csv_flags_the_last_row(self, capsys):
         code, out = run_cli(capsys, "table", "--paper", "--format", "csv")
@@ -724,6 +742,30 @@ def run_module(*argv, **kwargs):
                           text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
+# Runs vrhq as `python -m vrhq ARGV` does, with an atexit handler that
+# writes the collector's frozen-object count to the file named first.
+FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+path = sys.argv.pop(1)
+
+def record():
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(record)
+runpy.run_module("vrhq", run_name="__main__", alter_sys=True)
+"""
+
+
+def without_wall_clock(out):
+    """JSON stdout less the one field that differs between two runs."""
+    if not out.startswith("{"):
+        return out
+    envelope = strict_loads(out)
+    del envelope["provenance"]["wall_clock"]
+    return envelope
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_module("bound", "--n", "7", "--r", "5")
@@ -733,6 +775,37 @@ class TestEntryPoint:
     def test_version_flag(self):
         proc = run_module("--version")
         assert proc.returncode == 0 and proc.stdout.startswith("vrhq ")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bound", "--n", "7", "--r", "5"], 0),
+        (["table"], 2),
+        (["homology", "--complex", "missing.cx", "--up-to", "0"], 3),
+        (["gamma-t", "--n", "5", "--r", "3", "--exhaustive"], 4),
+        (["--version"], 0),
+        (["bound", "--n", "x", "--r", "5"], 2),
+    ], ids=["ok", "usage", "ingest", "cap", "version", "argparse"])
+    def test_launch_freezes_the_heap_before_shutdown(self, capsys, monkeypatch, tmp_path,
+                                                      argv, code):
+        # the shutdown collection then has nothing to scan; the output, the
+        # exit code and the atexit handlers are those of main() in process
+        probe = tmp_path / "frozen.txt"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT, str(probe), *argv],
+                               capture_output=True, text=True, cwd=tmp_path, timeout=60,
+                               env={**os.environ, "PYTHONPATH": path})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == code
+        want = capsys.readouterr()
+        assert child.returncode == code
+        assert without_wall_clock(child.stdout) == without_wall_clock(want.out)
+        assert child.stderr == want.err
+        assert int(probe.read_text()) > 0
+
+    @pytest.mark.parametrize("argv", DETERMINISM_ARGV)
+    def test_main_in_process_leaves_the_collector_as_it_found_it(self, capsys, argv):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def run_limited(*argv):

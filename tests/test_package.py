@@ -70,6 +70,22 @@ def test_a_launch_imports_only_what_its_subcommand_runs(argv, layers, tmp_path):
     assert ("csv" in loaded) == ("csv" in argv)
 
 
+def test_both_launch_paths_reach_cli_entry():
+    # cli.entry freezes the heap before shutdown; a launch path that called
+    # main() itself would pay for the shutdown collection again
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"vrhq": "vrhq.cli:entry"}
+    tree = ast.parse((Path(vrhq.__file__).parent / "__main__.py").read_text(encoding="utf-8"))
+    imports = [(node.module, node.level, [a.name for a in node.names])
+               for node in tree.body if isinstance(node, ast.ImportFrom)]
+    calls = [node.value.func.id for node in tree.body
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+             and isinstance(node.value.func, ast.Name)]
+    assert imports == [("cli", 1, ["entry"])]
+    assert calls == ["entry"]
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
